@@ -12,7 +12,13 @@ import numpy as np
 
 from .errors import DiagnosticError, InputError
 from .faces import Face, DeviationVector, check_face, is_resilient, ResilienceReport
-from .game import Game, check_distribution, payoff_vector
+from .game import (
+    Game,
+    _correlated_payoffs,
+    _payoff_vector_unchecked,
+    check_distribution,
+    check_profile,
+)
 from .regularizers import Kernel
 from .trajectory import Trajectory, face_distances
 
@@ -33,30 +39,27 @@ def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expecte
         raise InputError("trajectory and game disagree on action counts")
     if not 0 <= player < game.n_players:
         raise InputError(f"player index {player} out of range")
-    T = trajectory.horizon
-    m = game.n_actions[player]
-    per_action = np.empty((T, m))
-    value = np.empty(T)
     if mode == "expected":
-        sl = trajectory.player_slice(player)
-        for k in range(T):
-            xs = trajectory.profile_at(k)
-            v = payoff_vector(game, player, xs)
-            per_action[k] = v
-            value[k] = float(np.dot(v, trajectory.x[k, sl]))
+        xs = check_profile(
+            game,
+            [trajectory.x[:, trajectory.player_slice(j)] for j in range(game.n_players)],
+            rows=True,
+        )
+        per_action = _payoff_vector_unchecked(game, player, xs)
+        value = (per_action * xs[player]).sum(axis=1)
     elif mode == "realized":
-        if np.any(trajectory.realized < 0):
+        acts = trajectory.realized
+        if np.any(acts < 0):
             raise InputError("realized-mode regret needs a run with sampled actions")
-        u = np.moveaxis(game.payoffs[player], player, -1)
-        for k in range(T):
-            acts = tuple(int(a) for a in trajectory.realized[k])
-            per_action[k] = u[tuple(a for i, a in enumerate(acts) if i != player)]
-            value[k] = game.payoffs[player][acts]
+        u = game.payoffs[player]
+        value = u[tuple(acts.T)]
+        others = tuple(acts[:, j] for j in range(game.n_players) if j != player)
+        per_action = np.broadcast_to(
+            np.moveaxis(u, player, -1)[others], (trajectory.horizon, game.n_actions[player])
+        )
     else:
         raise InputError("regret mode must be 'expected' or 'realized'")
-    cum_actions = np.cumsum(per_action, axis=0)
-    cum_value = np.cumsum(value)
-    return cum_actions.max(axis=1) - cum_value
+    return np.cumsum(per_action, axis=0).max(axis=1) - np.cumsum(value)
 
 
 def regret_from_distributions(game: Game, player: int, dists) -> np.ndarray:
@@ -66,18 +69,8 @@ def regret_from_distributions(game: Game, player: int, dists) -> np.ndarray:
     tensors = [check_distribution(game, d) for d in dists]
     if not tensors:
         raise InputError("at least one play distribution is required")
-    u = game.payoffs[player]
-    moved = np.moveaxis(u, player, -1)
-    ax = tuple(range(game.n_players - 1))
-    per_action = []
-    value = []
-    for d in tensors:
-        marg = d.sum(axis=player)
-        per_action.append(np.tensordot(marg, moved, axes=(ax, ax)))
-        value.append(float((d * u).sum()))
-    cum_actions = np.cumsum(np.asarray(per_action), axis=0)
-    cum_value = np.cumsum(np.asarray(value))
-    return cum_actions.max(axis=1) - cum_value
+    per_action, value = _correlated_payoffs(game, player, np.stack(tensors))
+    return np.cumsum(per_action, axis=0).max(axis=1) - np.cumsum(value)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,11 @@ import json
 import sys
 
 from .errors import RLGamesError
-from .experiments import load_game_spec, run_batch, run_experiment
-from .faces import club_margin, enumerate_clubs, minimal_clubs
+from .experiments import _face_key, load_game_spec, run_batch, run_experiment
+from .faces import _minimal_faces, club_margin, enumerate_clubs
 from .game import enumerate_pure_nash, strictly_dominated_pure
 from .config import config_from_json
 from .verify import list_checks, run_suite
-
-
-def _face_key(face) -> str:
-    return "x".join("{" + ",".join(str(a) for a in s) + "}" for s in face.supports)
 
 
 def analyze_game(spec: str) -> dict:
@@ -44,7 +40,7 @@ def analyze_game(spec: str) -> dict:
         "clubs": [
             {"face": _face_key(f), "margin": club_margin(game, f)} for f in clubs
         ],
-        "minimal_clubs": [_face_key(f) for f in minimal_clubs(game)],
+        "minimal_clubs": [_face_key(f) for f in _minimal_faces(clubs)],
     }
 
 

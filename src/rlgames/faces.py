@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .game import Game, check_profile, payoff_mixed, payoff_vector
+from .game import Game, _payoff_vector_unchecked, check_profile
 from .minimax_lp import solve_minimax_lp
 
 MAX_FACES_DEFAULT = 1_000_000
@@ -196,12 +196,12 @@ def enumerate_clubs(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> list[Face
 
 def minimal_clubs(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> list[Face]:
     """Clubs containing no strictly smaller club."""
-    clubs = enumerate_clubs(game, max_faces=max_faces)
-    out = []
-    for f in clubs:
-        if not any(g is not f and f.contains(g) for g in clubs):
-            out.append(f)
-    return out
+    return _minimal_faces(enumerate_clubs(game, max_faces=max_faces))
+
+
+def _minimal_faces(faces: list[Face]) -> list[Face]:
+    """The faces of the list that contain no other face of it, in order."""
+    return [f for f in faces if not any(g is not f and f.contains(g) for g in faces)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +234,24 @@ def is_curb(game: Game, face: Face, grid_resolution: int = 8) -> bool:
     check_face(game, face)
     if grid_resolution < 2:
         raise InputError("grid resolution must be at least 2")
+    grids = []
+    for j, sub in enumerate(face.supports):
+        pts = _simplex_grid(len(sub), grid_resolution)
+        full = np.zeros((len(pts), game.n_actions[j]))
+        full[:, list(sub)] = pts
+        grids.append(full)
     for i in range(game.n_players):
         inside = list(face.supports[i])
         outside = [b for b in range(game.n_actions[i]) if b not in face.supports[i]]
         if not outside:
             continue
-        opp_grids = []
-        for j in range(game.n_players):
-            if j == i:
-                continue
-            pts = _simplex_grid(len(face.supports[j]), grid_resolution)
-            full = []
-            for p in pts:
-                v = np.zeros(game.n_actions[j])
-                v[list(face.supports[j])] = p
-                full.append(v)
-            opp_grids.append((j, full))
-        order = [j for j, _ in opp_grids]
-        for choice in itertools.product(*(g for _, g in opp_grids)):
-            xs = [None] * game.n_players
-            for j, v in zip(order, choice):
-                xs[j] = v
-            xs[i] = np.full(game.n_actions[i], 1.0 / game.n_actions[i])
-            v = payoff_vector(game, i, xs)
-            if v[outside].max() >= v[inside].max():
-                return False
+        # every combination of opposing grid mixtures, one per row; the
+        # operator ignores player i's own strategy, so one row stands in
+        sizes = [1 if j == i else len(g) for j, g in enumerate(grids)]
+        picks = np.indices(sizes).reshape(game.n_players, -1)
+        v = _payoff_vector_unchecked(game, i, [g[k] for g, k in zip(grids, picks)])
+        if (v[:, outside].max(axis=1) >= v[:, inside].max(axis=1)).any():
+            return False
     return True
 
 
@@ -274,7 +267,6 @@ class ResilienceReport:
     tol: float
     gaps: tuple[float, ...]
     witnesses: tuple[np.ndarray, ...]  # minimizing prepared mixture per player
-    statuses: tuple[str, ...]
 
 
 def is_resilient(game: Game, points, tol: float = 0.0) -> ResilienceReport:
@@ -290,24 +282,19 @@ def is_resilient(game: Game, points, tol: float = 0.0) -> ResilienceReport:
     pts = [check_profile(game, p) for p in points]
     if not pts:
         raise InputError("at least one candidate point is required")
+    rows = [np.stack(col) for col in zip(*pts)]
     gaps = []
     witnesses = []
-    statuses = []
     for i in range(game.n_players):
-        pieces = []
-        for xs in pts:
-            c = payoff_mixed(game, i, xs)
-            a = payoff_vector(game, i, xs)
-            pieces.append((c, a))
-        value, z = solve_minimax_lp(pieces, game.n_actions[i])
+        slopes = _payoff_vector_unchecked(game, i, rows)
+        offsets = (slopes * rows[i]).sum(axis=1)
+        value, z = solve_minimax_lp(zip(offsets, slopes), game.n_actions[i])
         gaps.append(value)
         witnesses.append(z)
-        statuses.append("solved")
     resilient = all(g >= -tol for g in gaps)
     return ResilienceReport(
         resilient=resilient,
         tol=tol,
         gaps=tuple(gaps),
         witnesses=tuple(witnesses),
-        statuses=tuple(statuses),
     )

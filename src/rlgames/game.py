@@ -186,10 +186,7 @@ def payoff_pure(game: Game, player: int, actions) -> float:
 def payoff_mixed(game: Game, player: int, profile) -> float:
     """Expected payoff to `player` under an independent mixed profile."""
     xs = check_profile(game, profile)
-    val = game.payoffs[player]
-    for v in xs:
-        val = np.tensordot(val, v, axes=([0], [0]))
-    return float(val)
+    return float((_payoff_vector_unchecked(game, player, xs) * xs[player]).sum())
 
 
 def payoff_vector(game: Game, player: int, profile) -> np.ndarray:
@@ -232,8 +229,7 @@ def _payoff_vector_unchecked(game: Game, player: int, xs) -> np.ndarray:
 
 def payoff_vectors(game: Game, profile) -> list[np.ndarray]:
     """Payoff vectors of every player under one mixed profile."""
-    xs = check_profile(game, profile)
-    return [_payoff_vector_unchecked(game, i, xs) for i in range(game.n_players)]
+    return _payoff_vectors_unchecked(game, check_profile(game, profile))
 
 
 def _payoff_vectors_unchecked(game: Game, xs) -> list[np.ndarray]:
@@ -263,12 +259,24 @@ def deviation_gaps(game: Game, player: int, dist) -> np.ndarray:
     d = check_distribution(game, dist)
     if not 0 <= player < game.n_players:
         raise InputError(f"player index {player} out of range")
-    value = float((d * game.payoffs[player]).sum())
-    marginal = d.sum(axis=player)
-    moved = np.moveaxis(game.payoffs[player], player, -1)
-    k = tuple(range(marginal.ndim))
-    fixed = np.tensordot(marginal, moved, axes=(k, k))
+    fixed, value = _correlated_payoffs(game, player, d)
     return fixed - value
+
+
+def _correlated_payoffs(game: Game, player: int, dists):
+    """Fixed-action payoffs u_i(a; d_-i) and the value u_i(d) of `player`.
+
+    `dists` is one joint tensor (shape ``n_actions``) or a stack of K of
+    them; the results are (m_player,) and a scalar, or (K, m_player) and
+    (K,) to match.
+    """
+    u = game.payoffs[player]
+    lead = dists.ndim - game.n_players
+    value = (dists * u).sum(axis=tuple(range(lead, dists.ndim)))
+    # each fixed action meets the others' marginal of the distribution
+    marginal = dists.sum(axis=lead + player, keepdims=True)
+    fixed = np.moveaxis(marginal * u, lead + player, -1)
+    return fixed.sum(axis=tuple(range(lead, dists.ndim - 1))), value
 
 
 def best_replies(game: Game, player: int, profile, tol: float = 1e-9) -> tuple[int, ...]:

@@ -66,14 +66,6 @@ class Kernel:
         r = self.rho
         return np.power(z, r - 1.0) / (r - 1.0)
 
-    def theta_second(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.variant == "quadratic":
-            return np.ones_like(z)
-        if self.variant == "entropic":
-            return 1.0 / z
-        return np.power(z, self.rho - 2.0)
-
     def theta_prime_inv(self, w):
         """Inverse of theta' on (0, 1]; caller clips outside the range."""
         w = np.asarray(w, dtype=float)
@@ -102,15 +94,6 @@ class Kernel:
         if self.variant == "entropic":
             return 1.0
         return 1.0 / (self.rho - 1.0)
-
-    def strong_convexity(self) -> float:
-        """inf of theta'' over (0, 1], the modulus K of 2-strong convexity."""
-        if self.variant == "quadratic":
-            return 1.0
-        if self.variant == "entropic":
-            return 1.0  # attained at z = 1
-        # z^(rho-2) is nonincreasing on (0,1] for rho <= 2: minimum at z = 1
-        return 1.0
 
     def entropy(self, p):
         """h(p) = sum_a theta(p_a), rows of a batch handled at once."""
@@ -303,7 +286,3 @@ def rate_function(kernel: Kernel, z):
     if not kernel.steep:
         out = np.where(z_arr <= lo, 0.0, out)
     return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
-
-
-def strong_convexity(kernel: Kernel) -> float:
-    return kernel.strong_convexity()

@@ -54,12 +54,7 @@ from .learning import (
     perturbation_stream,
     run,
 )
-from .regularizers import (
-    choice_map,
-    conjugate,
-    kernel_from_name,
-    strong_convexity,
-)
+from .regularizers import choice_map, conjugate, kernel_from_name
 
 
 @dataclass
@@ -167,6 +162,12 @@ _NORM_PAIRS = {
     "tsallis": (2, 2),
 }
 
+# Strong convexity modulus K of h = sum_a theta(x_a), in the primal norm of
+# each kernel's pair above. Euclidean: theta'' = 1, so K = 1 in L2. Logit:
+# h is the negative entropy, 1-strongly convex in L1 on the simplex
+# (Pinsker). Tsallis: theta'' = z^(-3/2) >= 1 on (0, 1], so K = 1 in L2.
+_STRONG_CONVEXITY = 1.0
+
 
 def _row_norm(a, order):
     if order == 1:
@@ -182,7 +183,7 @@ def _check_mirror_maps(ctx):
     eps = 1e-6
     for name in ("euclidean", "logit", "tsallis"):
         k = kernel_from_name(name)
-        K = strong_convexity(k)
+        K = _STRONG_CONVEXITY
         prim, dual = _NORM_PAIRS[name]
         for m in (2, 3, 4, 5):
             B = 2500
@@ -272,7 +273,7 @@ def _check_feedback_envelopes(ctx):
         k = kernel_from_name("logit")
         L = lipschitz_estimate(g)
         V = payoff_bound(g)
-        K = strong_convexity(k)
+        K = _STRONG_CONVEXITY
         traj = run(g, k, fb, sched, 2000, seed=6)
         bound = (3.0 * L * V / K) * traj.gamma
         ratio = float((np.abs(traj.bias).max(axis=1) / bound).max())

@@ -86,14 +86,23 @@ def test_regret_validation(vz, vz_traj):
 
 
 def test_expected_regret_replays_the_rows(vz, vz_traj):
-    r = regret(vz_traj, vz, 0)
-    assert r.shape == (200,)
-    assert r[0] >= -1e-12
-    # manual recomputation of the cumulative best-fixed-action margin
-    vs = np.array([payoff_vector(vz, 0, vz_traj.profile_at(k)) for k in range(200)])
-    vals = np.array([float(np.dot(vs[k], vz_traj.x[k, :4])) for k in range(200)])
-    want = np.cumsum(vs, axis=0).max(axis=1) - np.cumsum(vals)
-    assert np.allclose(r, want, atol=1e-10)
+    parity = builtin_game("parity")
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    bandit = run(parity, LOGIT, fb, Schedule(0.2, 0.5), 300, seed=8)
+    for game, traj in ((vz, vz_traj), (parity, bandit)):
+        T = traj.horizon
+        for i in range(game.n_players):
+            r = regret(traj, game, i)
+            assert r.shape == (T,)
+            assert r[0] >= -1e-12
+            # one payoff_vector call per recorded profile
+            vs = np.array([payoff_vector(game, i, traj.profile_at(k)) for k in range(T)])
+            xi = traj.x[:, traj.player_slice(i)]
+            best = np.cumsum(vs, axis=0).max(axis=1)
+            # bit-identical per-action vectors replay the row-sum values exactly
+            assert np.array_equal(r, best - np.cumsum((vs * xi).sum(axis=1)))
+            dots = np.array([float(np.dot(vs[k], xi[k])) for k in range(T)])
+            assert np.abs(r - (best - np.cumsum(dots))).max() <= 1e-12
 
 
 def test_regret_vanishes_on_a_constant_game():
@@ -105,17 +114,23 @@ def test_regret_vanishes_on_a_constant_game():
 
 def test_realized_regret_uses_sampled_actions(vz):
     fb = Bandit(exploration=Schedule(0.1, 0.15))
-    traj = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 300, seed=8)
-    r = regret(traj, vz, 0, mode="realized")
-    assert r.shape == (300,)
-    # replay by hand from the realized action columns
-    total = 0.0
-    per_action = np.zeros(4)
-    for k in range(300):
-        a0, a1 = (int(v) for v in traj.realized[k])
-        total += vz.payoffs[0][a0, a1]
-        per_action += vz.payoffs[0][:, a1]
-        assert r[k] == pytest.approx(per_action.max() - total, abs=1e-9)
+    for game in (vz, builtin_game("parity")):
+        traj = run(game, LOGIT, fb, Schedule(0.2, 0.5), 300, seed=8)
+        for i in range(game.n_players):
+            r = regret(traj, game, i, mode="realized")
+            assert r.shape == (300,)
+            # replay by hand from the realized action columns
+            u = game.payoffs[i]
+            values = []
+            per_action = []
+            for k in range(300):
+                acts = tuple(int(a) for a in traj.realized[k])
+                values.append(u[acts])
+                per_action.append(
+                    [u[acts[:i] + (b,) + acts[i + 1 :]] for b in range(game.n_actions[i])]
+                )
+            want = np.cumsum(per_action, axis=0).max(axis=1) - np.cumsum(values)
+            assert np.array_equal(r, want)
 
 
 def test_average_regret_is_small_on_every_builtin():
@@ -134,6 +149,26 @@ def test_replay_regret_of_the_half_half_distribution(vz):
     for i in range(2):
         r = regret_from_distributions(vz, i, [d] * 5)
         assert np.allclose(r, [-(n + 1) / 6 for n in range(5)], atol=1e-12)
+
+
+def test_replay_regret_matches_a_per_distribution_loop():
+    rng = np.random.default_rng(33)
+    game = make_game([rng.uniform(-1, 1, (2, 3, 2)) for _ in range(3)])
+    dists = [rng.dirichlet(np.ones(12)).reshape(2, 3, 2) for _ in range(6)]
+    for i in range(3):
+        u = game.payoffs[i]
+        per_action = []
+        values = []
+        for d in dists:
+            fixed = np.zeros(game.n_actions[i])
+            for prof in game.profiles():
+                values_at = [u[prof[:i] + (a,) + prof[i + 1 :]] for a in range(len(fixed))]
+                fixed += d[prof] * np.array(values_at)
+            per_action.append(fixed)
+            values.append(float((d * u).sum()))
+        want = np.cumsum(per_action, axis=0).max(axis=1) - np.cumsum(values)
+        got = regret_from_distributions(game, i, dists)
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_replay_regret_validation(vz):

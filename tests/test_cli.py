@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rlgames import builtin_game, save_game
+from rlgames import builtin_game, list_builtin, minimal_clubs, save_game
 from rlgames.cli import analyze_game, main
+from rlgames.experiments import _face_key
 from rlgames.game import make_game
 import rlgames.verify as verify
 
@@ -61,6 +62,29 @@ def test_analyze_game_helper_matches_cli(capsys):
     report = analyze_game("parity")
     assert main(["analyze", "parity"]) == 0
     assert json.loads(capsys.readouterr().out) == report
+
+
+def test_analyze_enumerates_the_face_lattice_once(monkeypatch):
+    import rlgames.cli as cli
+    import rlgames.faces as faces
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "enumerate_clubs", counted(faces.enumerate_clubs))
+    monkeypatch.setattr(faces, "enumerate_clubs", counted(faces.enumerate_clubs))
+    for name in list_builtin():
+        calls.clear()
+        report = analyze_game(name)
+        assert len(calls) == 1, name
+        want = [_face_key(f) for f in minimal_clubs(builtin_game(name))]
+        assert report["minimal_clubs"] == want, name
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from rlgames import (
     singleton_face,
 )
 from rlgames.faces import _club_tables
-from rlgames.game import Game, make_game, payoff_pure
+from rlgames.game import Game, make_game, payoff_mixed, payoff_pure, payoff_vector
+from rlgames.minimax_lp import solve_minimax_lp
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +239,45 @@ def test_every_club_is_curb(vz):
         assert is_curb(vz, face)
 
 
+def _curb_per_point(game, face, resolution):
+    """Best-reply closure checked one opposing grid mixture at a time."""
+    for i in range(game.n_players):
+        inside = list(face.supports[i])
+        outside = [b for b in range(game.n_actions[i]) if b not in inside]
+        if not outside:
+            continue
+        grids = []
+        for j in range(game.n_players):
+            sub = list(face.supports[j]) if j != i else [0]  # own strategy is ignored
+            pts = []
+            for counts in itertools.product(range(resolution + 1), repeat=len(sub)):
+                if sum(counts) == resolution:
+                    x = np.zeros(game.n_actions[j])
+                    x[sub] = [c / resolution for c in counts]
+                    pts.append(x)
+            grids.append(pts)
+        for xs in itertools.product(*grids):
+            v = payoff_vector(game, i, list(xs))
+            if v[outside].max() >= v[inside].max():
+                return False
+    return True
+
+
+def test_curb_matches_a_per_point_loop(vz):
+    three = random_game(np.random.default_rng(32), (3, 3, 2))
+    # the spectator's indifference makes ties, which must fail the test
+    for game in (vz, three, builtin_game("spectator")):
+        subsets = [
+            [c for r in range(1, m + 1) for c in itertools.combinations(range(m), r)]
+            for m in game.n_actions
+        ]
+        for supports in itertools.product(*subsets):
+            face = Face(supports=supports)
+            for resolution in (2, 8):
+                want = _curb_per_point(game, face, resolution)
+                assert is_curb(game, face, grid_resolution=resolution) == want, face
+
+
 def test_curb_grid_resolution_validation(vz):
     with pytest.raises(InputError):
         is_curb(vz, full_face(vz), grid_resolution=1)
@@ -253,7 +293,6 @@ def test_equilibrium_pair_is_resilient(vz):
     report = is_resilient(vz, [bb, dd])
     assert report.resilient
     assert report.gaps == pytest.approx((1 / 6, 1 / 6))
-    assert report.statuses == ("solved", "solved")
     for z in report.witnesses:
         assert z.sum() == pytest.approx(1.0)
         assert (z >= -1e-12).all()
@@ -274,6 +313,18 @@ def test_resilience_validation(vz):
         is_resilient(vz, [])
     with pytest.raises(InputError):
         is_resilient(vz, [pure_profile(vz, (0, 0))], tol=-0.1)
+
+
+def test_resilience_gaps_match_per_point_pieces(vz):
+    rng = np.random.default_rng(31)
+    three = random_game(rng, (3, 3, 2))
+    for game in (vz, three):
+        points = [[rng.dirichlet(np.ones(m)) for m in game.n_actions] for _ in range(5)]
+        report = is_resilient(game, points)
+        for i in range(game.n_players):
+            pieces = [(payoff_mixed(game, i, xs), payoff_vector(game, i, xs)) for xs in points]
+            value, _ = solve_minimax_lp(pieces, game.n_actions[i])
+            assert abs(report.gaps[i] - value) <= 1e-12
 
 
 def test_strict_equilibrium_point_is_resilient(vz):

@@ -15,7 +15,6 @@ from rlgames import (
     fenchel_coupling,
     kernel_from_name,
     rate_function,
-    strong_convexity,
 )
 
 KERNEL_NAMES = ["euclidean", "logit", "tsallis", "power:0.8", "power:1.5", "power:2"]
@@ -63,11 +62,6 @@ def test_kernel_variant_guard():
         Kernel(name="x", variant="cubic")
     with pytest.raises(InputError):
         Kernel(name="x", variant="power", rho=None)
-
-
-def test_strong_convexity_is_one_for_all_kernels():
-    for k in kernels():
-        assert strong_convexity(k) == 1.0
 
 
 def test_theta_prime_endpoints():
