@@ -17,6 +17,7 @@ from .game import (
     _correlated_payoffs,
     _payoff_vector_unchecked,
     check_distribution,
+    check_player,
     check_profile,
 )
 from .regularizers import Kernel
@@ -37,8 +38,7 @@ def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expecte
     """
     if game.n_actions != trajectory.n_actions:
         raise InputError("trajectory and game disagree on action counts")
-    if not 0 <= player < game.n_players:
-        raise InputError(f"player index {player} out of range")
+    check_player(game, player)
     if mode == "expected":
         xs = check_profile(
             game,
@@ -64,8 +64,7 @@ def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expecte
 
 def regret_from_distributions(game: Game, player: int, dists) -> np.ndarray:
     """Replay-mode regret against a sequence of correlated distributions."""
-    if not 0 <= player < game.n_players:
-        raise InputError(f"player index {player} out of range")
+    check_player(game, player)
     tensors = [check_distribution(game, d) for d in dists]
     if not tensors:
         raise InputError("at least one play distribution is required")

@@ -83,14 +83,19 @@ def make_game(payoffs) -> Game:
 # profile and distribution validation
 
 
+def check_player(game: Game, player: int) -> None:
+    """Reject a player index outside 0..N-1 (numpy would wrap a negative one)."""
+    if not 0 <= player < game.n_players:
+        raise InputError(f"player index {player} out of range")
+
+
 def check_strategy(game: Game, player: int, x, rows: bool = False) -> np.ndarray:
     """Validate a mixed strategy for one player and return it as an array.
 
     With ``rows=True``, `x` is a stack of strategies, one per row (R, m),
     and every row is checked.
     """
-    if not 0 <= player < game.n_players:
-        raise InputError(f"player index {player} out of range")
+    check_player(game, player)
     v = np.asarray(x, dtype=float)
     m = game.n_actions[player]
     if v.ndim != (2 if rows else 1) or v.shape[-1] != m:
@@ -178,13 +183,13 @@ def payoff_pure(game: Game, player: int, actions) -> float:
     """Payoff to `player` at a pure action profile."""
     actions = tuple(int(a) for a in actions)
     _check_pure(game, actions)
-    if not 0 <= player < game.n_players:
-        raise InputError(f"player index {player} out of range")
+    check_player(game, player)
     return float(game.payoffs[player][actions])
 
 
 def payoff_mixed(game: Game, player: int, profile) -> float:
     """Expected payoff to `player` under an independent mixed profile."""
+    check_player(game, player)
     xs = check_profile(game, profile)
     return float((_payoff_vector_unchecked(game, player, xs) * xs[player]).sum())
 
@@ -195,6 +200,7 @@ def payoff_vector(game: Game, player: int, profile) -> np.ndarray:
     Entry a is the payoff of playing a while everyone else follows the
     profile; the player's own strategy in `profile` is ignored.
     """
+    check_player(game, player)
     xs = check_profile(game, profile)
     return _payoff_vector_unchecked(game, player, xs)
 
@@ -257,8 +263,7 @@ def deviation_gap(game: Game, player: int, dist) -> np.ndarray | float:
 def deviation_gaps(game: Game, player: int, dist) -> np.ndarray:
     """Per-action version of :func:`deviation_gap` (one entry per action)."""
     d = check_distribution(game, dist)
-    if not 0 <= player < game.n_players:
-        raise InputError(f"player index {player} out of range")
+    check_player(game, player)
     fixed, value = _correlated_payoffs(game, player, d)
     return fixed - value
 
@@ -316,8 +321,7 @@ def enumerate_pure_nash(game: Game, strict_only: bool = False, tol: float = 1e-9
 
 def strictly_dominated_pure(game: Game, player: int) -> tuple[int, ...]:
     """Actions strictly dominated by some other pure action (exact >)."""
-    if not 0 <= player < game.n_players:
-        raise InputError(f"player index {player} out of range")
+    check_player(game, player)
     u = np.moveaxis(game.payoffs[player], player, 0)
     m = game.n_actions[player]
     flat = u.reshape(m, -1)

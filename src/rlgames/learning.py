@@ -15,6 +15,12 @@ other rows share the batch, so run r of a batch is bit for bit the single
 run from the same seed and start. :func:`run` and :func:`step` are the
 one-run case.
 
+The step loop computes and records only what the recursion needs: x,
+scores, vhat and, under bandit feedback, the realized actions. Bias,
+noise and the regret summands are derived from the recorded rows after
+the loop, in blocks, with the same row-wise arithmetic the step would
+have used, so the record is the same bits either way.
+
 Randomness (bandit sampling only) comes from the counter-based Philox
 generator, keyed per (run seed, player): the draw used by player i at step
 n is the n-th output of that player's stream, so results never depend on
@@ -33,6 +39,7 @@ from .regularizers import Kernel, choice_map_profile
 from .trajectory import Trajectory
 
 _INIT_STREAM = 0xFFFFFFFF  # reserved substream for initial-score perturbation
+_DERIVE_ROWS = 1024  # steps per block when deriving bias, noise and gaps
 
 
 @dataclass(frozen=True)
@@ -260,13 +267,19 @@ def iwe(game: Game, explored, realized):
 
 @dataclass
 class _Runs:
-    """R runs of one template stepped together: per-player (R, m_i) rows."""
+    """R runs of one template stepped together: per-player (R, m_i) rows.
+
+    `field` caches v(current) once a step has computed it, so optimistic
+    feedback reads v(x_{n-1}) from the step before instead of evaluating
+    it again; None means it has to be computed from `previous`.
+    """
 
     seeds: tuple[int, ...]
     scores: list[np.ndarray]
     current: list[np.ndarray]
     previous: list[np.ndarray]
     step_index: int = 1
+    field: list[np.ndarray] | None = None
 
 
 def _initial_scores(game: Game, y0) -> list[np.ndarray]:
@@ -288,62 +301,80 @@ def _initial_scores(game: Game, y0) -> list[np.ndarray]:
     return scores
 
 
-def _advance(runs: _Runs, game, kernel, feedback, step_schedule, uniforms):
-    """Advance every run by one template step.
+def _advance(runs: _Runs, game, kernel, feedback, gamma, delta, uniforms):
+    """Advance every run by one template step of size `gamma`.
 
-    `uniforms` is the (R, N) table row of bandit draws for this step (None
-    for the other feedback kinds). Returns gamma and the per-player (R, m_i)
-    rows of vhat, bias and noise, plus the (R, N) realized actions (None
-    when nothing was sampled) and the (R, N) regret summands.
+    Computes only what the next scores depend on. `delta` and `uniforms`
+    (the (R, N) table row of draws for this step) feed bandit sampling and
+    are None for the other feedback kinds. Returns the per-player (R, m_i)
+    rows of vhat and the (R, N) realized actions (None when nothing was
+    sampled); :func:`_summands` derives the rest of the record afterwards.
     """
-    n = runs.step_index
-    gamma = step_schedule.value(n)
     x = runs.current
-    v = _payoff_vectors_unchecked(game, x)
     realized = None
-
+    v = None
     if isinstance(feedback, Full):
-        vhat = v
-        bias = [np.zeros_like(g) for g in v]
-        noise = [np.zeros_like(g) for g in v]
+        vhat = v = _payoff_vectors_unchecked(game, x)
     elif isinstance(feedback, Optimistic):
         # previous is x_1 at n = 1, so the first step is plain
-        v_prev = _payoff_vectors_unchecked(game, runs.previous)
+        v_prev = runs.field or _payoff_vectors_unchecked(game, runs.previous)
+        v = _payoff_vectors_unchecked(game, x)
         vhat = [2.0 * a - b for a, b in zip(v, v_prev)]
-        bias = [a - b for a, b in zip(v, v_prev)]
-        noise = [np.zeros_like(g) for g in v]
     elif isinstance(feedback, MirrorProx):
+        v = _payoff_vectors_unchecked(game, x)
         y_half = [y + gamma * g for y, g in zip(runs.scores, v)]
-        x_half = choice_map_profile(kernel, y_half)
-        v_half = _payoff_vectors_unchecked(game, x_half)
-        vhat = v_half
-        bias = [a - b for a, b in zip(v_half, v)]
-        noise = [np.zeros_like(g) for g in v]
+        vhat = _payoff_vectors_unchecked(game, choice_map_profile(kernel, y_half))
     elif isinstance(feedback, Clairvoyant):
         x_fix = _clairvoyant_point(runs, game, kernel, feedback, gamma)
-        v_fix = _payoff_vectors_unchecked(game, x_fix)
-        vhat = v_fix
-        bias = [a - b for a, b in zip(v_fix, v)]
-        noise = [np.zeros_like(g) for g in v]
+        vhat = _payoff_vectors_unchecked(game, x_fix)
     elif isinstance(feedback, Bandit):
-        delta = feedback.exploration.value(n)
         xhat = explored_profile(x, delta)
         realized = sample_actions(xhat, uniforms)
         vhat = iwe(game, xhat, realized)
-        v_hat_mean = _payoff_vectors_unchecked(game, xhat)
-        bias = [a - b for a, b in zip(v_hat_mean, v)]
-        noise = [a - b for a, b in zip(vhat, v_hat_mean)]
     else:
         raise InputError(f"unknown feedback kind {feedback!r}")
 
-    gaps = np.stack(
-        [g.max(axis=1) - (g * xi).sum(axis=1) for g, xi in zip(v, x)], axis=1
-    )
     runs.scores = [y + gamma * g for y, g in zip(runs.scores, vhat)]
     runs.previous = x
     runs.current = choice_map_profile(kernel, runs.scores)
-    runs.step_index = n + 1
-    return gamma, vhat, bias, noise, realized, gaps
+    runs.field = v
+    runs.step_index += 1
+    return vhat, realized
+
+
+def _summands(game, feedback, x, vhat, deltas, v_before):
+    """Bias, noise and regret summands of consecutive recorded steps.
+
+    `x` and `vhat` hold per-player (B, m_i) rows of one run, `deltas` the
+    exploration weights of those steps (bandit feedback only), and
+    `v_before` the per-player (1, m_i) field v(x) of the step before the
+    first row (optimistic feedback only; None at step 1, where the
+    previous profile is x_1 itself). Every formula acts row by row, so the
+    rows match what the step loop would have computed in place.
+
+    Returns the per-player rows of v(x), bias and noise (None where the
+    feedback kind makes them zero) and the (B, N) regret summands.
+    """
+    # full feedback uses v(x) itself as its gain vector
+    v = vhat if isinstance(feedback, Full) else _payoff_vectors_unchecked(game, x)
+    gaps = np.stack(
+        [g.max(axis=1) - (g * xi).sum(axis=1) for g, xi in zip(v, x)], axis=1
+    )
+    bias = noise = None
+    if isinstance(feedback, Optimistic):
+        first = v if v_before is None else v_before
+        bias = [g - np.concatenate([f[:1], g[:-1]]) for g, f in zip(v, first)]
+    elif isinstance(feedback, (MirrorProx, Clairvoyant)):
+        bias = [a - b for a, b in zip(vhat, v)]
+    elif isinstance(feedback, Bandit):
+        d = np.asarray(deltas)[:, None]
+        # the explored profile (1 - delta) x + delta / m, as the step drew it
+        v_mean = _payoff_vectors_unchecked(
+            game, [(1.0 - d) * xi + d / xi.shape[-1] for xi in x]
+        )
+        bias = [a - b for a, b in zip(v_mean, v)]
+        noise = [a - b for a, b in zip(vhat, v_mean)]
+    return v, bias, noise, gaps
 
 
 def _clairvoyant_point(runs: _Runs, game, kernel, feedback, gamma):
@@ -401,33 +432,39 @@ def step(
     addressed directly by (seed, player, step).
     """
     n = state.step_index
+    x = [xi[None] for xi in state.current]
     runs = _Runs(
         seeds=(state.seed,),
         scores=[y[None] for y in state.scores],
-        current=[x[None] for x in state.current],
-        previous=[x[None] for x in state.previous],
+        current=x,
+        previous=[xi[None] for xi in state.previous],
         step_index=n,
     )
-    uniforms = None
+    gamma = step_schedule.value(n)
+    delta = uniforms = None
     if isinstance(feedback, Bandit):
+        delta = feedback.exploration.value(n)
         uniforms = [[uniform_at(state.seed, i, n) for i in range(game.n_players)]]
-    gamma, vhat, bias, noise, realized, gaps = _advance(
-        runs, game, kernel, feedback, step_schedule, uniforms
-    )
+    if isinstance(feedback, Optimistic):
+        runs.field = _payoff_vectors_unchecked(game, runs.previous)
+    v_before = runs.field
+    vhat, realized = _advance(runs, game, kernel, feedback, gamma, delta, uniforms)
+    _, bias, noise, gaps = _summands(game, feedback, x, vhat, [delta], v_before)
+    zeros = [np.zeros(m) for m in game.n_actions]
     record = StepRecord(
         n=n,
         gamma=gamma,
         x=[xi.copy() for xi in state.current],
         scores=[y.copy() for y in state.scores],
         vhat=[g[0] for g in vhat],
-        bias=[g[0] for g in bias],
-        noise=[g[0] for g in noise],
+        bias=zeros if bias is None else [g[0] for g in bias],
+        noise=zeros if noise is None else [g[0] for g in noise],
         realized=None if realized is None else realized[0].tolist(),
         gaps=gaps[0].tolist(),
     )
     state.scores = [y[0] for y in runs.scores]
     state.previous = state.current
-    state.current = [x[0] for x in runs.current]
+    state.current = [xi[0] for xi in runs.current]
     state.step_index = runs.step_index
     return record
 
@@ -446,6 +483,10 @@ def run_many(
     for bit what ``run(..., y0=y0_r, seed=seed_r)`` records: every row gets
     the same arithmetic whatever other rows share the batch, and each run
     draws from its own (seed, player) Philox streams.
+
+    The step loop records x, scores, vhat and the realized actions; bias,
+    noise and the regret summands are then derived from those rows, one
+    run at a time in blocks of at most ``_DERIVE_ROWS`` steps.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise InputError("horizon must be a positive integer")
@@ -462,29 +503,32 @@ def run_many(
     D = sum(game.n_actions)
     T = int(horizon)
 
-    uniforms = None
+    uniforms = deltas = None
     if isinstance(feedback, Bandit):
         uniforms = np.stack([uniform_table(s, N, T) for s in seeds], axis=1)
+        deltas = np.empty(T)
 
     out_gamma = np.empty(T)
     out_tau = np.empty(T)
     out_x = np.empty((R, T, D))
     out_scores = np.empty((R, T, D))
     out_vhat = np.empty((R, T, D))
-    out_bias = np.empty((R, T, D))
-    out_noise = np.empty((R, T, D))
+    out_bias = np.zeros((R, T, D))
+    out_noise = np.zeros((R, T, D))
     out_real = np.full((R, T, N), -1, dtype=np.int64)
     out_gaps = np.empty((R, T, N))
 
     tau = 0.0
     comp = 0.0  # Kahan correction so tau stays exact over long runs
     for k in range(T):
+        gamma = step_schedule.value(k + 1)
+        delta = draws = None
+        if deltas is not None:
+            delta = deltas[k] = feedback.exploration.value(k + 1)
+            draws = uniforms[k]
         out_x[:, k] = np.concatenate(runs.current, axis=1)
         out_scores[:, k] = np.concatenate(runs.scores, axis=1)
-        gamma, vhat, bias, noise, realized, gaps = _advance(
-            runs, game, kernel, feedback, step_schedule,
-            None if uniforms is None else uniforms[k],
-        )
+        vhat, realized = _advance(runs, game, kernel, feedback, gamma, delta, draws)
         yv = gamma - comp
         t = tau + yv
         comp = (t - tau) - yv
@@ -492,11 +536,27 @@ def run_many(
         out_gamma[k] = gamma
         out_tau[k] = tau
         out_vhat[:, k] = np.concatenate(vhat, axis=1)
-        out_bias[:, k] = np.concatenate(bias, axis=1)
-        out_noise[:, k] = np.concatenate(noise, axis=1)
         if realized is not None:
             out_real[:, k] = realized
-        out_gaps[:, k] = gaps
+
+    offsets = np.cumsum((0,) + game.n_actions)
+    cols = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+    for r in range(R):
+        v_last = None
+        for a in range(0, T, _DERIVE_ROWS):
+            rows = slice(a, a + _DERIVE_ROWS)
+            v, bias, noise, out_gaps[r, rows] = _summands(
+                game, feedback,
+                [out_x[r, rows, c] for c in cols],
+                [out_vhat[r, rows, c] for c in cols],
+                None if deltas is None else deltas[rows],
+                v_last,
+            )
+            if bias is not None:
+                out_bias[r, rows] = np.concatenate(bias, axis=1)
+            if noise is not None:
+                out_noise[r, rows] = np.concatenate(noise, axis=1)
+            v_last = [g[-1:] for g in v]
 
     return [
         Trajectory(

@@ -168,6 +168,15 @@ def test_check_profile_rows_mode_checks_every_row():
         check_profile(g, good[:2] + [np.array([[0.5, 0.5]])], rows=True)
 
 
+@pytest.mark.parametrize("player", [2, -1])
+def test_payoff_calls_reject_a_player_out_of_range(player):
+    g = vz4x4()
+    uniform = [np.full(4, 0.25), np.full(4, 0.25)]
+    for fn in (payoff_vector, payoff_mixed, best_replies):
+        with pytest.raises(InputError, match="player index"):
+            fn(g, player, uniform)
+
+
 def test_payoff_bound_is_max_abs_entry():
     g = two_player([[1, -7], [0, 2]], [[0, 0], [3, 0]])
     assert payoff_bound(g) == 7.0

@@ -31,6 +31,7 @@ from rlgames import (
     uniform_at,
     uniform_table,
 )
+from rlgames import learning
 from rlgames.game import make_game, payoff_vectors
 
 
@@ -442,6 +443,9 @@ def random_starts(game, count):
     ("parity", "logit", Bandit(exploration=Schedule(0.1, 0.15))),
     ("vz4x4", "tsallis", Full()),
     ("vz4x4", "logit", Clairvoyant(tol=1e-12)),
+    ("spectator", "logit", Optimistic()),
+    ("vz4x4", "euclidean", MirrorProx()),
+    ("parity", "euclidean", Bandit(exploration=Schedule(0.1, 0.15))),
 ])
 def test_batch_rows_match_single_runs(game_name, kernel_name, feedback):
     game = builtin_game(game_name)
@@ -455,6 +459,67 @@ def test_batch_rows_match_single_runs(game_name, kernel_name, feedback):
         assert traj.seed == seed
         for name in RECORDED:
             assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+FEEDBACKS = {
+    "full": Full(),
+    "optimistic": Optimistic(),
+    "mirror_prox": MirrorProx(),
+    "clairvoyant": Clairvoyant(tol=1e-12),
+    "bandit": Bandit(exploration=Schedule(0.1, 0.15)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FEEDBACKS))
+def test_derived_record_matches_stepwise_records(vz, label, monkeypatch):
+    # run() derives bias, noise and gaps after its loop, here in blocks of
+    # 7 steps; step() derives them for its one row; both give the same bits
+    monkeypatch.setattr(learning, "_DERIVE_ROWS", 7)
+    feedback = FEEDBACKS[label]
+    sch = Schedule(0.2, 0.5)
+    y0 = [np.array([0.3, -0.1, 0.0, 0.2]), np.array([-0.4, 0.0, 0.1, 0.3])]
+    traj = run(vz, LOGIT, feedback, sch, 30, y0=y0, seed=8)
+    st = init_state(vz, LOGIT, y0=y0, seed=8)
+    for k in range(30):
+        rec = step(st, vz, LOGIT, feedback, sch)
+        for name in ("x", "vhat", "bias", "noise"):
+            got = np.concatenate(getattr(rec, name))
+            assert got.tobytes() == getattr(traj, name)[k].tobytes(), name
+        assert np.array(rec.gaps).tobytes() == traj.gaps[k].tobytes()
+    if label != "bandit":
+        assert not traj.noise.any()
+    if label == "full":
+        assert not traj.bias.any()
+
+
+@pytest.mark.parametrize("label", sorted(FEEDBACKS))
+def test_derived_record_follows_its_definitions_exactly(vz, label, monkeypatch):
+    # bias and noise rebuilt from the recorded rows with the operator on one
+    # profile at a time, as the step that produced the row would have
+    monkeypatch.setattr(learning, "_DERIVE_ROWS", 7)
+    feedback = FEEDBACKS[label]
+    traj = run(vz, LOGIT, feedback, Schedule(0.2, 0.5), 20, seed=6)
+
+    def field(profile):
+        return np.concatenate(payoff_vectors(vz, profile))
+
+    v = [field(traj.profile_at(k)) for k in range(20)]
+    for k in range(20):
+        bias = np.zeros(8)
+        noise = np.zeros(8)
+        if label == "optimistic":
+            bias = v[k] - v[max(k - 1, 0)]
+        elif label in ("mirror_prox", "clairvoyant"):
+            bias = traj.vhat[k] - v[k]
+        elif label == "bandit":
+            delta = feedback.exploration.value(k + 1)
+            mean = field(explored_profile(traj.profile_at(k), delta))
+            bias = mean - v[k]
+            noise = traj.vhat[k] - mean
+        assert traj.bias[k].tobytes() == bias.tobytes()
+        assert traj.noise[k].tobytes() == noise.tobytes()
+        for i, s in enumerate((slice(0, 4), slice(4, 8))):
+            assert traj.gaps[k, i] == v[k][s].max() - (v[k][s] * traj.x[k, s]).sum()
 
 
 def test_clairvoyant_stall_names_the_run(vz):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from rlgames import (
     full_face,
     kernel_from_name,
     read_trajectory_csv,
+    minimal_clubs,
     run,
     singleton_face,
     write_trajectory_csv,
@@ -133,6 +136,31 @@ def test_csv_text_shape(tmp_path, traj):
     # every data row has the full column count
     width = len(lines[0].split(","))
     assert all(len(line.split(",")) == width for line in lines[1:])
+
+
+def test_csv_bytes_match_a_csv_writer_reference(tmp_path, vz):
+    # long enough that the writer goes through several row blocks
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    traj = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 700, seed=4)
+    faces = minimal_clubs(vz) + [full_face(vz)]
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(traj, path, faces=faces)
+
+    ref = tmp_path / "ref.csv"
+    dists = [face_distances(traj, f) for f in faces]
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(csv_header(traj, len(faces)))
+        fmt = "{:.17g}".format
+        for k in range(traj.horizon):
+            writer.writerow(
+                [str(int(traj.n[k])), fmt(traj.gamma[k]), fmt(traj.tau[k])]
+                + [fmt(v) for v in traj.x[k]]
+                + [str(int(a)) for a in traj.realized[k]]
+                + [fmt(v) for v in traj.gaps[k]]
+                + [fmt(d[k]) for d in dists]
+            )
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_read_rejects_empty_and_ragged_files(tmp_path):
