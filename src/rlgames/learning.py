@@ -195,9 +195,12 @@ def perturbation_stream(seed: int) -> np.random.Generator:
 # rows; the lockstep engine below uses the row form.
 
 
-def explored_profile(profile, delta: float) -> list[np.ndarray]:
-    """Mix each strategy with the uniform one: (1-delta) x + delta/m."""
-    if not 0.0 < delta <= 1.0:
+def explored_profile(profile, delta) -> list[np.ndarray]:
+    """Mix each strategy with the uniform one: (1-delta) x + delta/m.
+
+    `delta` is one weight, or an (R, 1) column of weights, one per row.
+    """
+    if not np.all((0.0 < delta) & (delta <= 1.0)):
         raise InputError("exploration weight must lie in (0, 1]")
     out = []
     for x in profile:
@@ -267,19 +270,13 @@ def iwe(game: Game, explored, realized):
 
 @dataclass
 class _Runs:
-    """R runs of one template stepped together: per-player (R, m_i) rows.
-
-    `field` caches v(current) once a step has computed it, so optimistic
-    feedback reads v(x_{n-1}) from the step before instead of evaluating
-    it again; None means it has to be computed from `previous`.
-    """
+    """R runs of one template stepped together: per-player (R, m_i) rows."""
 
     seeds: tuple[int, ...]
     scores: list[np.ndarray]
     current: list[np.ndarray]
     previous: list[np.ndarray]
     step_index: int = 1
-    field: list[np.ndarray] | None = None
 
 
 def _initial_scores(game: Game, y0) -> list[np.ndarray]:
@@ -312,12 +309,11 @@ def _advance(runs: _Runs, game, kernel, feedback, gamma, delta, uniforms):
     """
     x = runs.current
     realized = None
-    v = None
     if isinstance(feedback, Full):
-        vhat = v = _payoff_vectors_unchecked(game, x)
+        vhat = _payoff_vectors_unchecked(game, x)
     elif isinstance(feedback, Optimistic):
         # previous is x_1 at n = 1, so the first step is plain
-        v_prev = runs.field or _payoff_vectors_unchecked(game, runs.previous)
+        v_prev = _payoff_vectors_unchecked(game, runs.previous)
         v = _payoff_vectors_unchecked(game, x)
         vhat = [2.0 * a - b for a, b in zip(v, v_prev)]
     elif isinstance(feedback, MirrorProx):
@@ -337,7 +333,6 @@ def _advance(runs: _Runs, game, kernel, feedback, gamma, delta, uniforms):
     runs.scores = [y + gamma * g for y, g in zip(runs.scores, vhat)]
     runs.previous = x
     runs.current = choice_map_profile(kernel, runs.scores)
-    runs.field = v
     runs.step_index += 1
     return vhat, realized
 
@@ -367,10 +362,9 @@ def _summands(game, feedback, x, vhat, deltas, v_before):
     elif isinstance(feedback, (MirrorProx, Clairvoyant)):
         bias = [a - b for a, b in zip(vhat, v)]
     elif isinstance(feedback, Bandit):
-        d = np.asarray(deltas)[:, None]
-        # the explored profile (1 - delta) x + delta / m, as the step drew it
+        # the explored profile, as the step drew it
         v_mean = _payoff_vectors_unchecked(
-            game, [(1.0 - d) * xi + d / xi.shape[-1] for xi in x]
+            game, explored_profile(x, np.asarray(deltas)[:, None])
         )
         bias = [a - b for a, b in zip(v_mean, v)]
         noise = [a - b for a, b in zip(vhat, v_mean)]
@@ -445,9 +439,9 @@ def step(
     if isinstance(feedback, Bandit):
         delta = feedback.exploration.value(n)
         uniforms = [[uniform_at(state.seed, i, n) for i in range(game.n_players)]]
+    v_before = None
     if isinstance(feedback, Optimistic):
-        runs.field = _payoff_vectors_unchecked(game, runs.previous)
-    v_before = runs.field
+        v_before = _payoff_vectors_unchecked(game, runs.previous)
     vhat, realized = _advance(runs, game, kernel, feedback, gamma, delta, uniforms)
     _, bias, noise, gaps = _summands(game, feedback, x, vhat, [delta], v_before)
     zeros = [np.zeros(m) for m in game.n_actions]

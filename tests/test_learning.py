@@ -120,6 +120,13 @@ def test_explored_profile_mixes_toward_uniform():
     for bad in (0.0, -0.1, 1.2):
         with pytest.raises(InputError):
             explored_profile(x, bad)
+    # a column of weights mixes each row with its own weight
+    rows = [np.stack([xi, xi]) for xi in x]
+    col = explored_profile(rows, np.array([[0.2], [1.0]]))
+    for i in range(2):
+        assert np.array_equal(col[i], np.stack([out[i], flat[i]]))
+    with pytest.raises(InputError):
+        explored_profile(rows, np.array([[0.2], [1.2]]))
 
 
 def test_sample_actions_inverse_cdf():
