@@ -12,8 +12,7 @@ recorded so tests can check the advertised envelopes directly.
 One engine steps R runs in lockstep: each player's scores and strategies
 are (R, m_i) arrays, and every operation treats a row the same whatever
 other rows share the batch, so run r of a batch is bit for bit the single
-run from the same seed and start. :func:`run` and :func:`step` are the
-one-run case.
+run from the same seed and start. :func:`run` is the one-run case.
 
 The step loop computes and records only what the recursion needs: x,
 scores, vhat and, under bandit feedback, the realized actions. Bias,
@@ -23,8 +22,9 @@ have used, so the record is the same bits either way.
 
 Randomness (bandit sampling only) comes from the counter-based Philox
 generator, keyed per (run seed, player): the draw used by player i at step
-n is the n-th output of that player's stream, so results never depend on
-execution interleaving and batches stay reproducible.
+n is the n-th output of that player's stream (row n - 1 of
+:func:`uniform_table`), so results never depend on execution interleaving
+and batches stay reproducible.
 """
 
 from __future__ import annotations
@@ -115,41 +115,14 @@ class Bandit:
 FeedbackKind = Full | Optimistic | MirrorProx | Clairvoyant | Bandit
 
 
-@dataclass
-class LearnerState:
-    """Mutable state of a single run, as stepped by :func:`step`."""
-
-    scores: list[np.ndarray]
-    current: list[np.ndarray]
-    previous: list[np.ndarray]
-    step_index: int
-    seed: int
-
-
-@dataclass
-class StepRecord:
-    n: int
-    gamma: float
-    x: list[np.ndarray]
-    scores: list[np.ndarray]
-    vhat: list[np.ndarray]
-    bias: list[np.ndarray]
-    noise: list[np.ndarray]
-    realized: list[int] | None
-    gaps: list[float]
-
-
 # ---------------------------------------------------------------------------
 # randomness
 
 
-def _player_key(seed: int, player: int) -> np.ndarray:
-    return np.array([np.uint64(seed & (2**64 - 1)), np.uint64(player)], dtype=np.uint64)
-
-
 def player_stream(seed: int, player: int) -> np.random.Generator:
     """The Philox substream feeding one player's action draws."""
-    return np.random.Generator(np.random.Philox(key=_player_key(seed, player)))
+    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(player)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def uniform_table(seed: int, n_players: int, horizon: int) -> np.ndarray:
@@ -158,23 +131,6 @@ def uniform_table(seed: int, n_players: int, horizon: int) -> np.ndarray:
     for i in range(n_players):
         table[:, i] = player_stream(seed, i).random(horizon)
     return table
-
-
-def uniform_at(seed: int, player: int, n: int) -> float:
-    """The single draw player `player` consumes at step `n`, addressed directly.
-
-    Philox advances in 4-word counter blocks while each double consumes one
-    word, so jump to the right block and discard the remainder.
-    """
-    word = n - 1
-    bg = np.random.Philox(key=_player_key(seed, player))
-    if word >= 4:
-        bg.advance(word // 4)
-    gen = np.random.Generator(bg)
-    rem = word % 4
-    if rem:
-        gen.random(rem)
-    return float(gen.random())
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
@@ -192,7 +148,8 @@ def perturbation_stream(seed: int) -> np.random.Generator:
 # bandit building blocks
 #
 # Each block takes one profile, or R profiles at once as per-player (R, m_i)
-# rows; the lockstep engine below uses the row form.
+# rows, and validates what it is given. The lockstep engine below calls the
+# unchecked cores on per-player (R, m_i) rows it built itself.
 
 
 def explored_profile(profile, delta) -> list[np.ndarray]:
@@ -202,11 +159,11 @@ def explored_profile(profile, delta) -> list[np.ndarray]:
     """
     if not np.all((0.0 < delta) & (delta <= 1.0)):
         raise InputError("exploration weight must lie in (0, 1]")
-    out = []
-    for x in profile:
-        x = np.asarray(x, dtype=float)
-        out.append((1.0 - delta) * x + delta / x.shape[-1])
-    return out
+    return _explored_unchecked([np.asarray(x, dtype=float) for x in profile], delta)
+
+
+def _explored_unchecked(xs, delta) -> list[np.ndarray]:
+    return [(1.0 - delta) * x + delta / x.shape[-1] for x in xs]
 
 
 def sample_actions(explored, uniforms):
@@ -219,15 +176,21 @@ def sample_actions(explored, uniforms):
     rows = np.atleast_2d(u)
     if len(explored) != rows.shape[1]:
         raise InputError("one uniform per player is required")
-    actions = np.empty(rows.shape, dtype=np.int64)
-    for i, x in enumerate(explored):
-        c = np.cumsum(np.atleast_2d(x), axis=1)
-        if len(c) != len(rows):
-            raise InputError("explored rows and uniform rows disagree in number")
-        # counting c <= u * total is searchsorted(c, u * total, side="right")
-        count = (c <= (rows[:, i] * c[:, -1])[:, None]).sum(axis=1)
-        actions[:, i] = np.minimum(count, c.shape[1] - 1)
+    xs = [np.atleast_2d(x) for x in explored]
+    if any(len(x) != len(rows) for x in xs):
+        raise InputError("explored rows and uniform rows disagree in number")
+    actions = _sample_actions_unchecked(xs, rows)
     return actions if u.ndim == 2 else actions[0].tolist()
+
+
+def _sample_actions_unchecked(xs, uniforms) -> np.ndarray:
+    actions = np.empty(uniforms.shape, dtype=np.int64)
+    for i, x in enumerate(xs):
+        c = np.cumsum(x, axis=1)
+        # counting c <= u * total is searchsorted(c, u * total, side="right")
+        count = (c <= (uniforms[:, i] * c[:, -1])[:, None]).sum(axis=1)
+        actions[:, i] = np.minimum(count, c.shape[1] - 1)
+    return actions
 
 
 def iwe(game: Game, explored, realized):
@@ -248,19 +211,29 @@ def iwe(game: Game, explored, realized):
         r, i = np.argwhere(bad)[0]
         raise InputError(f"realized action {acts[r, i]} out of range for player {i}")
     every = np.arange(len(acts))
+    for i, x in enumerate(xs):
+        a = acts[:, i]
+        zero = x[every, a] <= 0.0
+        if zero.any():
+            raise InputError(
+                f"realized action {a[zero][0]} has zero sampling "
+                f"probability for player {i}"
+            )
+    out = _iwe_unchecked(game, xs, acts)
+    return out if rows else [v[0] for v in out]
+
+
+def _iwe_unchecked(game: Game, xs, acts) -> list[np.ndarray]:
+    """The estimate on rows; every realized action must have positive
+    probability, as it does under any explored profile."""
+    every = np.arange(len(acts))
     profile = tuple(acts.T)
     out = []
     for i, x in enumerate(xs):
         a = acts[:, i]
-        prob = x[every, a]
-        if (prob <= 0.0).any():
-            raise InputError(
-                f"realized action {a[prob <= 0.0][0]} has zero sampling "
-                f"probability for player {i}"
-            )
         v = np.zeros(x.shape)
-        v[every, a] = game.payoffs[i][profile] / prob
-        out.append(v if rows else v[0])
+        v[every, a] = game.payoffs[i][profile] / x[every, a]
+        out.append(v)
     return out
 
 
@@ -324,9 +297,9 @@ def _advance(runs: _Runs, game, kernel, feedback, gamma, delta, uniforms):
         x_fix = _clairvoyant_point(runs, game, kernel, feedback, gamma)
         vhat = _payoff_vectors_unchecked(game, x_fix)
     elif isinstance(feedback, Bandit):
-        xhat = explored_profile(x, delta)
-        realized = sample_actions(xhat, uniforms)
-        vhat = iwe(game, xhat, realized)
+        xhat = _explored_unchecked(x, delta)
+        realized = _sample_actions_unchecked(xhat, uniforms)
+        vhat = _iwe_unchecked(game, xhat, realized)
     else:
         raise InputError(f"unknown feedback kind {feedback!r}")
 
@@ -363,9 +336,7 @@ def _summands(game, feedback, x, vhat, deltas, v_before):
         bias = [a - b for a, b in zip(vhat, v)]
     elif isinstance(feedback, Bandit):
         # the explored profile, as the step drew it
-        v_mean = _payoff_vectors_unchecked(
-            game, explored_profile(x, np.asarray(deltas)[:, None])
-        )
+        v_mean = _payoff_vectors_unchecked(game, _explored_unchecked(x, deltas[:, None]))
         bias = [a - b for a, b in zip(v_mean, v)]
         noise = [a - b for a, b in zip(vhat, v_mean)]
     return v, bias, noise, gaps
@@ -398,69 +369,6 @@ def _clairvoyant_point(runs: _Runs, game, kernel, feedback, gamma):
         f"after {feedback.max_iters} iterations in run {run_index} "
         f"(seed {runs.seeds[run_index]})"
     )
-
-
-def init_state(game: Game, kernel: Kernel, y0=None, seed: int = 0) -> LearnerState:
-    """Fresh state at step 1 with x = Q(y0)."""
-    scores = _initial_scores(game, y0)
-    current = choice_map_profile(kernel, scores)
-    return LearnerState(
-        scores=scores,
-        current=current,
-        previous=[x.copy() for x in current],
-        step_index=1,
-        seed=int(seed),
-    )
-
-
-def step(
-    state: LearnerState,
-    game: Game,
-    kernel: Kernel,
-    feedback: FeedbackKind,
-    step_schedule: Schedule,
-) -> StepRecord:
-    """Advance the state by one template step and report what happened.
-
-    This is the lockstep engine with a single run; the bandit draw is
-    addressed directly by (seed, player, step).
-    """
-    n = state.step_index
-    x = [xi[None] for xi in state.current]
-    runs = _Runs(
-        seeds=(state.seed,),
-        scores=[y[None] for y in state.scores],
-        current=x,
-        previous=[xi[None] for xi in state.previous],
-        step_index=n,
-    )
-    gamma = step_schedule.value(n)
-    delta = uniforms = None
-    if isinstance(feedback, Bandit):
-        delta = feedback.exploration.value(n)
-        uniforms = [[uniform_at(state.seed, i, n) for i in range(game.n_players)]]
-    v_before = None
-    if isinstance(feedback, Optimistic):
-        v_before = _payoff_vectors_unchecked(game, runs.previous)
-    vhat, realized = _advance(runs, game, kernel, feedback, gamma, delta, uniforms)
-    _, bias, noise, gaps = _summands(game, feedback, x, vhat, [delta], v_before)
-    zeros = [np.zeros(m) for m in game.n_actions]
-    record = StepRecord(
-        n=n,
-        gamma=gamma,
-        x=[xi.copy() for xi in state.current],
-        scores=[y.copy() for y in state.scores],
-        vhat=[g[0] for g in vhat],
-        bias=zeros if bias is None else [g[0] for g in bias],
-        noise=zeros if noise is None else [g[0] for g in noise],
-        realized=None if realized is None else realized[0].tolist(),
-        gaps=gaps[0].tolist(),
-    )
-    state.scores = [y[0] for y in runs.scores]
-    state.previous = state.current
-    state.current = [xi[0] for xi in runs.current]
-    state.step_index = runs.step_index
-    return record
 
 
 def run_many(

@@ -23,3 +23,10 @@ def test_readme_calls_name_the_api():
         except AttributeError:
             unknown.append(name)
     assert unknown == []
+
+
+def test_all_names_resolve_once():
+    """Every name in ``rlgames.__all__`` is on the package, listed once."""
+    missing = [name for name in rlgames.__all__ if not hasattr(rlgames, name)]
+    assert missing == []
+    assert len(set(rlgames.__all__)) == len(rlgames.__all__)

@@ -17,7 +17,6 @@ from rlgames import (
     choice_map_profile,
     derive_run_seed,
     explored_profile,
-    init_state,
     iwe,
     kernel_from_name,
     lipschitz_estimate,
@@ -27,8 +26,6 @@ from rlgames import (
     run,
     run_many,
     sample_actions,
-    step,
-    uniform_at,
     uniform_table,
 )
 from rlgames import learning
@@ -77,12 +74,14 @@ def test_schedule_is_indexed_from_one():
 # randomness plumbing
 
 
-def test_uniform_at_addresses_the_table():
+def test_uniform_table_columns_are_the_player_streams():
     for seed in (0, 9, 123456):
         table = uniform_table(seed, n_players=3, horizon=21)
+        assert table.shape == (21, 3)
         for i in range(3):
-            for n in range(1, 22):  # crosses several Philox block boundaries
-                assert uniform_at(seed, i, n) == table[n - 1, i]
+            assert table[:, i].tobytes() == player_stream(seed, i).random(21).tobytes()
+        # the horizon never changes a draw, across Philox block boundaries
+        assert uniform_table(seed, 3, 10).tobytes() == table[:10].tobytes()
 
 
 def test_player_streams_are_independent_and_reproducible():
@@ -137,6 +136,15 @@ def test_sample_actions_inverse_cdf():
     assert sample_actions(x, [1.0, 1.0]) == [1, 2]  # boundary stays in range
 
 
+def test_sample_actions_errors():
+    x = [np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5])]
+    with pytest.raises(InputError, match="one uniform per player"):
+        sample_actions(x, [0.25, 0.1, 0.3])
+    rows = [np.stack([xi, xi]) for xi in x]
+    with pytest.raises(InputError, match="disagree in number"):
+        sample_actions(rows, np.full((3, 2), 0.5))
+
+
 def test_sample_actions_rows_follow_searchsorted(rng):
     explored = [rng.dirichlet(np.ones(m), size=40) for m in (2, 3, 5)]
     uniforms = rng.random((40, 3))
@@ -189,123 +197,89 @@ def test_iwe_is_unbiased_by_enumeration(mp):
 
 
 # ---------------------------------------------------------------------------
-# state initialization
-
-
-def test_init_state_defaults_to_zero_scores(vz):
-    st = init_state(vz, LOGIT)
-    assert all(np.array_equal(y, np.zeros(4)) for y in st.scores)
-    assert all(np.allclose(x, 0.25) for x in st.current)
-    assert st.step_index == 1
-    assert [x.tolist() for x in st.previous] == [x.tolist() for x in st.current]
-
-
-def test_init_state_validation(vz):
-    with pytest.raises(InputError):
-        init_state(vz, LOGIT, y0=[np.zeros(4)])
-    with pytest.raises(InputError):
-        init_state(vz, LOGIT, y0=[np.zeros(4), np.zeros(3)])
-    with pytest.raises(InputError):
-        init_state(vz, LOGIT, y0=[np.zeros(4), np.array([1.0, np.nan, 0, 0])])
-
-
-def test_init_state_copies_y0(vz):
-    y0 = [np.zeros(4), np.zeros(4)]
-    st = init_state(vz, LOGIT, y0=y0)
-    y0[0][0] = 99.0
-    assert st.scores[0][0] == 0.0
-
-
-# ---------------------------------------------------------------------------
-# one-step semantics
+# one-step semantics, read off the first rows of a run: row k holds the
+# pre-update x and scores of step k + 1, and scores[k + 1] is
+# scores[k] + gamma_{k+1} vhat[k]
 
 
 def manual_v(game, xs):
     return payoff_vectors(game, xs)
 
 
-def test_full_step_updates_scores_with_the_true_field(vz):
-    sch = Schedule(0.2, 0.5)
-    st = init_state(vz, LOGIT, y0=[np.array([0.1, 0.0, -0.1, 0.2])] * 2)
-    y_before = [y.copy() for y in st.scores]
-    x_before = [x.copy() for x in st.current]
-    v = manual_v(vz, x_before)
-    rec = step(st, vz, LOGIT, Full(), sch)
+def test_run_starts_from_zero_scores(vz):
+    traj = run(vz, LOGIT, Full(), Schedule(0.1, 0.0), 1)
+    assert traj.n.tolist() == [1]
+    assert np.array_equal(traj.scores[0], np.zeros(8))
+    assert np.allclose(traj.x[0], 0.25)
 
-    assert rec.n == 1 and rec.gamma == 0.2
-    for got, want in zip(rec.vhat, v):
-        assert np.allclose(got, want, atol=1e-12)
-    assert all(np.all(b == 0) for b in rec.bias)
-    assert all(np.all(b == 0) for b in rec.noise)
-    assert rec.realized is None
-    # the record holds the pre-update snapshot
-    for got, want in zip(rec.scores, y_before):
-        assert np.array_equal(got, want)
-    for got, want in zip(rec.x, x_before):
-        assert np.array_equal(got, want)
+
+def test_run_validates_initial_scores(vz):
+    for y0 in ([np.zeros(4)], [np.zeros(4), np.zeros(3)],
+               [np.zeros(4), np.array([1.0, np.nan, 0, 0])]):
+        with pytest.raises(InputError):
+            run(vz, LOGIT, Full(), Schedule(0.1, 0.0), 1, y0=y0)
+
+
+def test_full_step_updates_scores_with_the_true_field(vz):
+    y0 = [np.array([0.1, 0.0, -0.1, 0.2])] * 2
+    traj = run(vz, LOGIT, Full(), Schedule(0.2, 0.5), 2, y0=y0)
+    x_before = choice_map_profile(LOGIT, y0)
+    v = manual_v(vz, x_before)
+
+    assert traj.n[0] == 1 and traj.gamma[0] == 0.2
+    assert np.allclose(traj.vhat[0], np.concatenate(v), atol=1e-12)
+    assert not traj.bias.any() and not traj.noise.any()
+    assert np.all(traj.realized == -1)
+    # row 0 holds the pre-update snapshot
+    assert np.array_equal(traj.scores[0], np.concatenate(y0))
+    assert np.array_equal(traj.x[0], np.concatenate(x_before))
     # y <- y + gamma vhat, x <- Q(y)
-    for y_new, y_old, g in zip(st.scores, y_before, rec.vhat):
-        assert np.allclose(y_new, y_old + 0.2 * g, atol=1e-15)
-    for x_new, want in zip(st.current, choice_map_profile(LOGIT, st.scores)):
-        assert np.array_equal(x_new, want)
-    assert st.step_index == 2
+    y1 = traj.scores[0] + 0.2 * traj.vhat[0]
+    assert np.array_equal(traj.scores[1], y1)
+    want = choice_map_profile(LOGIT, [y1[:4], y1[4:]])
+    assert np.array_equal(traj.x[1], np.concatenate(want))
     # gaps replay: best response payoff minus realized mixed payoff
-    for gap, g, xi in zip(rec.gaps, v, x_before):
+    for gap, g, xi in zip(traj.gaps[0], v, x_before):
         assert gap == pytest.approx(float(g.max() - np.dot(g, xi)))
 
 
 def test_optimistic_first_step_is_plain_then_extrapolates(vz):
-    sch = Schedule(0.1, 0.0)
-    st = init_state(vz, LOGIT, y0=[np.array([0.3, 0.0, 0.0, -0.3])] * 2)
-    x1 = [x.copy() for x in st.current]
-    rec1 = step(st, vz, LOGIT, Optimistic(), sch)
-    v1 = manual_v(vz, x1)
-    for got, want in zip(rec1.vhat, v1):
-        assert np.allclose(got, want, atol=1e-12)
-    assert all(np.allclose(b, 0, atol=1e-15) for b in rec1.bias)
+    traj = run(vz, LOGIT, Optimistic(), Schedule(0.1, 0.0), 2,
+               y0=[np.array([0.3, 0.0, 0.0, -0.3])] * 2)
+    v1 = np.concatenate(manual_v(vz, traj.profile_at(0)))
+    assert np.allclose(traj.vhat[0], v1, atol=1e-12)
+    assert np.allclose(traj.bias[0], 0, atol=1e-15)
 
-    x2 = [x.copy() for x in st.current]
-    rec2 = step(st, vz, LOGIT, Optimistic(), sch)
-    v2 = manual_v(vz, x2)
-    for got, a, b in zip(rec2.vhat, v2, v1):
-        assert np.allclose(got, 2 * a - b, atol=1e-12)
-    for got, a, b in zip(rec2.bias, v2, v1):
-        assert np.allclose(got, a - b, atol=1e-12)
+    assert np.array_equal(traj.scores[1], traj.scores[0] + 0.1 * traj.vhat[0])
+    v2 = np.concatenate(manual_v(vz, traj.profile_at(1)))
+    assert np.allclose(traj.vhat[1], 2 * v2 - v1, atol=1e-12)
+    assert np.allclose(traj.bias[1], v2 - v1, atol=1e-12)
 
 
 def test_mirror_prox_evaluates_the_half_step(vz):
-    sch = Schedule(0.3, 0.0)
     y0 = [np.array([0.2, -0.1, 0.0, 0.1])] * 2
-    st = init_state(vz, LOGIT, y0=y0)
-    x = [x.copy() for x in st.current]
-    v = manual_v(vz, x)
-    rec = step(st, vz, LOGIT, MirrorProx(), sch)
+    traj = run(vz, LOGIT, MirrorProx(), Schedule(0.3, 0.0), 1, y0=y0)
+    v = manual_v(vz, traj.profile_at(0))
     x_half = choice_map_profile(LOGIT, [y + 0.3 * g for y, g in zip(y0, v)])
-    v_half = manual_v(vz, x_half)
-    for got, want in zip(rec.vhat, v_half):
-        assert np.allclose(got, want, atol=1e-12)
-    for got, a, b in zip(rec.bias, v_half, v):
-        assert np.allclose(got, a - b, atol=1e-12)
+    v_half = np.concatenate(manual_v(vz, x_half))
+    assert np.allclose(traj.vhat[0], v_half, atol=1e-12)
+    assert np.allclose(traj.bias[0], v_half - np.concatenate(v), atol=1e-12)
 
 
 def test_clairvoyant_lands_on_the_implicit_fixed_point(vz):
-    sch = Schedule(0.4, 0.0)
-    fb = Clairvoyant(tol=1e-12)
-    st = init_state(vz, LOGIT, y0=[np.array([0.5, 0.0, -0.5, 0.0])] * 2)
-    y0 = [y.copy() for y in st.scores]
-    rec = step(st, vz, LOGIT, fb, sch)
-    # reconstruct x+ from the recorded field and check Q(y + gamma v(x+)) = x+
-    x_plus = choice_map_profile(LOGIT, [y + 0.4 * g for y, g in zip(y0, rec.vhat)])
-    v_plus = manual_v(vz, x_plus)
-    for got, want in zip(rec.vhat, v_plus):
-        assert np.allclose(got, want, atol=1e-8)
+    traj = run(vz, LOGIT, Clairvoyant(tol=1e-12), Schedule(0.4, 0.0), 2,
+               y0=[np.array([0.5, 0.0, -0.5, 0.0])] * 2)
+    # x_2 = Q(y_1 + gamma vhat_1) is x+, so Q(y_1 + gamma v(x+)) = x+
+    assert np.array_equal(traj.scores[1], traj.scores[0] + 0.4 * traj.vhat[0])
+    v_plus = np.concatenate(manual_v(vz, traj.profile_at(1)))
+    assert np.allclose(traj.vhat[0], v_plus, atol=1e-8)
 
 
 def test_clairvoyant_iteration_cap_raises(vz):
     fb = Clairvoyant(tol=1e-14, max_iters=1)
-    st = init_state(vz, LOGIT, y0=[np.array([2.0, 0.0, -1.0, 0.0])] * 2)
     with pytest.raises(NumericError):
-        step(st, vz, LOGIT, fb, Schedule(0.5, 0.0))
+        run(vz, LOGIT, fb, Schedule(0.5, 0.0), 1,
+            y0=[np.array([2.0, 0.0, -1.0, 0.0])] * 2)
 
 
 def test_clairvoyant_parameter_validation():
@@ -317,26 +291,21 @@ def test_clairvoyant_parameter_validation():
 
 def test_bandit_step_decomposition(vz):
     fb = Bandit(exploration=Schedule(0.1, 0.15))
-    sch = Schedule(0.2, 0.5)
-    st = init_state(vz, LOGIT, seed=42)
-    x = [x.copy() for x in st.current]
-    v = manual_v(vz, x)
-    rec = step(st, vz, LOGIT, fb, sch)
+    traj = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 2, seed=42)
+    x = traj.profile_at(0)
+    v = np.concatenate(manual_v(vz, x))
+    realized = traj.realized[0].tolist()
+    assert all(0 <= a < 4 for a in realized)
 
-    assert rec.realized is not None and len(rec.realized) == 2
+    # the engine's estimate is the public estimator's, bit for bit
     xhat = explored_profile(x, 0.1)
-    assert np.allclose(
-        np.concatenate(rec.vhat),
-        np.concatenate(iwe(vz, xhat, rec.realized)),
-        atol=1e-12,
-    )
-    v_mean = manual_v(vz, xhat)
-    for got, a, b in zip(rec.bias, v_mean, v):
-        assert np.allclose(got, a - b, atol=1e-12)
-    for got, est, mean in zip(rec.noise, rec.vhat, v_mean):
-        assert np.allclose(got, est - mean, atol=1e-12)
+    assert traj.vhat[0].tobytes() == np.concatenate(iwe(vz, xhat, realized)).tobytes()
+    assert np.array_equal(traj.scores[1], traj.scores[0] + 0.2 * traj.vhat[0])
+    v_mean = np.concatenate(manual_v(vz, xhat))
+    assert np.allclose(traj.bias[0], v_mean - v, atol=1e-12)
+    assert np.allclose(traj.noise[0], traj.vhat[0] - v_mean, atol=1e-12)
     # estimator is supported on the realized action only
-    for est, a in zip(rec.vhat, rec.realized):
+    for est, a in zip((traj.vhat[0, :4], traj.vhat[0, 4:]), realized):
         mask = np.ones(4, dtype=bool)
         mask[a] = False
         assert np.all(est[mask] == 0.0)
@@ -348,9 +317,8 @@ def test_bandit_exploration_must_stay_in_range():
 
 
 def test_unknown_feedback_kind_is_rejected(vz):
-    st = init_state(vz, LOGIT)
     with pytest.raises(InputError):
-        step(st, vz, LOGIT, object(), Schedule(0.1, 0.0))
+        run(vz, LOGIT, object(), Schedule(0.1, 0.0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +380,14 @@ def test_bandit_run_is_seed_deterministic(vz):
     assert np.any(a.realized >= 0)
 
 
-def test_bandit_run_matches_stepwise_replay(vz):
+def test_bandit_draws_can_be_spot_checked_at_any_step(vz):
+    # step k + 1 samples the explored profile with row k of the uniform table
     fb = Bandit(exploration=Schedule(0.1, 0.15))
-    sch = Schedule(0.2, 0.5)
-    traj = run(vz, LOGIT, fb, sch, 25, seed=5)
-    st = init_state(vz, LOGIT, seed=5)
-    for k in range(25):
-        rec = step(st, vz, LOGIT, fb, sch)
-        assert rec.realized == traj.realized[k].tolist()
-        assert np.allclose(np.concatenate(rec.x), traj.x[k], atol=0)
+    traj = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 25, seed=5)
+    table = uniform_table(5, vz.n_players, 25)
+    for k in (0, 1, 3, 4, 11, 24):
+        xhat = explored_profile(traj.profile_at(k), fb.exploration.value(k + 1))
+        assert sample_actions(xhat, table[k]) == traj.realized[k].tolist()
 
 
 def test_logit_runs_are_invariant_to_per_player_score_shifts(vz):
@@ -478,55 +445,36 @@ FEEDBACKS = {
 
 
 @pytest.mark.parametrize("label", sorted(FEEDBACKS))
-def test_derived_record_matches_stepwise_records(vz, label, monkeypatch):
-    # run() derives bias, noise and gaps after its loop, here in blocks of
-    # 7 steps; step() derives them for its one row; both give the same bits
-    monkeypatch.setattr(learning, "_DERIVE_ROWS", 7)
-    feedback = FEEDBACKS[label]
-    sch = Schedule(0.2, 0.5)
-    y0 = [np.array([0.3, -0.1, 0.0, 0.2]), np.array([-0.4, 0.0, 0.1, 0.3])]
-    traj = run(vz, LOGIT, feedback, sch, 30, y0=y0, seed=8)
-    st = init_state(vz, LOGIT, y0=y0, seed=8)
-    for k in range(30):
-        rec = step(st, vz, LOGIT, feedback, sch)
-        for name in ("x", "vhat", "bias", "noise"):
-            got = np.concatenate(getattr(rec, name))
-            assert got.tobytes() == getattr(traj, name)[k].tobytes(), name
-        assert np.array(rec.gaps).tobytes() == traj.gaps[k].tobytes()
-    if label != "bandit":
-        assert not traj.noise.any()
-    if label == "full":
-        assert not traj.bias.any()
-
-
-@pytest.mark.parametrize("label", sorted(FEEDBACKS))
 def test_derived_record_follows_its_definitions_exactly(vz, label, monkeypatch):
     # bias and noise rebuilt from the recorded rows with the operator on one
-    # profile at a time, as the step that produced the row would have
-    monkeypatch.setattr(learning, "_DERIVE_ROWS", 7)
+    # profile at a time, as the step that produced the row would have. The
+    # record derives them in blocks of steps; a block of 1 is the one-row case
     feedback = FEEDBACKS[label]
-    traj = run(vz, LOGIT, feedback, Schedule(0.2, 0.5), 20, seed=6)
 
     def field(profile):
         return np.concatenate(payoff_vectors(vz, profile))
 
-    v = [field(traj.profile_at(k)) for k in range(20)]
-    for k in range(20):
-        bias = np.zeros(8)
-        noise = np.zeros(8)
-        if label == "optimistic":
-            bias = v[k] - v[max(k - 1, 0)]
-        elif label in ("mirror_prox", "clairvoyant"):
-            bias = traj.vhat[k] - v[k]
-        elif label == "bandit":
-            delta = feedback.exploration.value(k + 1)
-            mean = field(explored_profile(traj.profile_at(k), delta))
-            bias = mean - v[k]
-            noise = traj.vhat[k] - mean
-        assert traj.bias[k].tobytes() == bias.tobytes()
-        assert traj.noise[k].tobytes() == noise.tobytes()
-        for i, s in enumerate((slice(0, 4), slice(4, 8))):
-            assert traj.gaps[k, i] == v[k][s].max() - (v[k][s] * traj.x[k, s]).sum()
+    for block in (1, 7):
+        monkeypatch.setattr(learning, "_DERIVE_ROWS", block)
+        traj = run(vz, LOGIT, feedback, Schedule(0.2, 0.5), 20, seed=6)
+        v = [field(traj.profile_at(k)) for k in range(20)]
+        for k in range(20):
+            bias = np.zeros(8)
+            noise = np.zeros(8)
+            if label == "optimistic":
+                bias = v[k] - v[max(k - 1, 0)]
+            elif label in ("mirror_prox", "clairvoyant"):
+                bias = traj.vhat[k] - v[k]
+            elif label == "bandit":
+                delta = feedback.exploration.value(k + 1)
+                mean = field(explored_profile(traj.profile_at(k), delta))
+                bias = mean - v[k]
+                noise = traj.vhat[k] - mean
+            assert traj.bias[k].tobytes() == bias.tobytes(), block
+            assert traj.noise[k].tobytes() == noise.tobytes(), block
+            for i, s in enumerate((slice(0, 4), slice(4, 8))):
+                want = v[k][s].max() - (v[k][s] * traj.x[k, s]).sum()
+                assert traj.gaps[k, i] == want, block
 
 
 def test_clairvoyant_stall_names_the_run(vz):
