@@ -445,6 +445,28 @@ FEEDBACKS = {
 
 
 @pytest.mark.parametrize("label", sorted(FEEDBACKS))
+def test_derived_record_matches_stepwise_records(vz, label, monkeypatch):
+    # a 30-step run derives bias, noise and gaps after its loop in blocks of
+    # 7 steps; a run of horizon k + 1 derived one row at a time ends on step
+    # k + 1 alone; its last row has the same bits as row k of the long run
+    feedback = FEEDBACKS[label]
+    sch = Schedule(0.2, 0.5)
+    y0 = [np.array([0.3, -0.1, 0.0, 0.2]), np.array([-0.4, 0.0, 0.1, 0.3])]
+    monkeypatch.setattr(learning, "_DERIVE_ROWS", 7)
+    traj = run(vz, LOGIT, feedback, sch, 30, y0=y0, seed=8)
+    monkeypatch.setattr(learning, "_DERIVE_ROWS", 1)
+    for k in range(30):
+        last = run(vz, LOGIT, feedback, sch, k + 1, y0=y0, seed=8)
+        for name in ("x", "scores", "vhat", "bias", "noise", "realized", "gaps"):
+            got = getattr(last, name)[k].tobytes()
+            assert got == getattr(traj, name)[k].tobytes(), (name, k)
+    if label != "bandit":
+        assert not traj.noise.any()
+    if label == "full":
+        assert not traj.bias.any()
+
+
+@pytest.mark.parametrize("label", sorted(FEEDBACKS))
 def test_derived_record_follows_its_definitions_exactly(vz, label, monkeypatch):
     # bias and noise rebuilt from the recorded rows with the operator on one
     # profile at a time, as the step that produced the row would have. The
