@@ -17,7 +17,7 @@ from rlgames import (
     Full,
     Schedule,
     builtin_game,
-    distance_series,
+    face_distances,
     fit_rate,
     kernel_from_name,
     run,
@@ -35,7 +35,7 @@ print("euclidean: constant steps, exact arrival")
 k = kernel_from_name("euclidean")
 traj = run(game, k, Full(), Schedule(0.2, 0.0), 600, y0=soft_tilt)
 fit = fit_rate(traj, face, k)
-dist = distance_series(traj, face)
+dist = face_distances(traj, face)
 print(f"  model {fit.model}: first exactly-zero step n = {fit.hit_index}")
 print(f"  distance at n=1: {dist[0]:.4f}, at the hit: {dist[fit.hit_index - 1]:.1e}")
 

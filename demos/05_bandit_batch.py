@@ -7,8 +7,8 @@ jitters each start, runs every point with its own derived seed, and
 reports the fraction that converged into a minimal club plus a resilience
 verdict for each limit point.
 
-Reruns are byte-identical for any RLGAMES_THREADS setting because every
-run's randomness depends only on (master seed, grid index).
+Reruns are byte-identical because every run's randomness depends only
+on (master seed, grid index).
 """
 
 import collections

@@ -89,11 +89,6 @@ def energy_series(trajectory: Trajectory, deviation: DeviationVector) -> np.ndar
     return block[:, deviation.outside] - block[:, deviation.inside]
 
 
-def distance_series(trajectory: Trajectory, face: Face) -> np.ndarray:
-    """Outside-support mass per step (same quantity the CSV dist columns use)."""
-    return face_distances(trajectory, face)
-
-
 # ---------------------------------------------------------------------------
 # limit sets
 
@@ -187,7 +182,7 @@ def fit_rate(
     """
     if atol <= 0 or window <= atol:
         raise InputError("need 0 < atol < window")
-    dist = distance_series(trajectory, face)
+    dist = face_distances(trajectory, face)
     tau = trajectory.tau
 
     if kernel.variant == "quadratic":

@@ -3,15 +3,13 @@
 A single run writes ``trajectory.csv`` and ``report.json``. A batch expands
 a grid init into one run per grid point (``run_000.csv``, ...) plus an
 ``aggregate.json`` with per-run convergence summaries. Every run's
-randomness is derived from (master seed, run index), so outputs are
-byte-identical across reruns regardless of thread count.
+randomness is derived from (master seed, run index), so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .analysis import check_limit_resilience, estimate_limit_set, fit_rate, regret
@@ -26,7 +24,6 @@ from .trajectory import Trajectory, write_trajectory_csv
 
 CONVERGENCE_THRESHOLD = 0.05
 RESILIENCE_TOL = 0.02
-THREADS_ENV = "RLGAMES_THREADS"
 
 
 def load_game_spec(spec: str) -> Game:
@@ -66,6 +63,11 @@ def _perturbed_starts(config: ExperimentConfig, game: Game):
 
 def _face_key(face: Face) -> str:
     return "x".join("{" + ",".join(str(a) for a in s) + "}" for s in face.supports)
+
+
+def _final_distances(game: Game, traj: Trajectory, faces) -> dict:
+    final = traj.final_profile()
+    return {_face_key(f): distance_to_face(game, final, f) for f in faces}
 
 
 def _rate_fit_entry(traj, face, kernel):
@@ -109,10 +111,7 @@ def diagnostic_report(game: Game, traj: Trajectory, kernel, faces) -> dict:
             "min_gap": min(resilience.gaps),
         },
         "tracked_faces": [_face_key(f) for f in faces],
-        "final_distances": {
-            _face_key(f): distance_to_face(game, traj.final_profile(), f)
-            for f in faces
-        },
+        "final_distances": _final_distances(game, traj, faces),
     }
 
 
@@ -147,26 +146,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     return traj, report
 
 
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = -1
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return max(1, min(cap, n_jobs))
-
-
 def execute_batch(config: ExperimentConfig, out_dir=None):
     """Run every grid point of a batch config, optionally writing CSVs.
 
     All starts advance together in one lockstep engine call; the per-run
-    CSV writing, face distances and resilience audit then go to a thread
-    pool. Returns (per_run summaries in grid order, aggregate dict).
+    CSV writing, face distances and resilience audit then follow in grid
+    order in the calling thread. Returns (per_run summaries in grid order,
+    aggregate dict).
     """
     game = load_game_spec(config.game)
     kernel = kernel_from_name(config.kernel)
@@ -178,32 +164,21 @@ def execute_batch(config: ExperimentConfig, out_dir=None):
     trajectories = run_many(game, kernel, config.feedback, config.step,
                             config.horizon, starts)
 
-    def one(index):
-        traj = trajectories[index]
+    summaries = []
+    for index, traj in enumerate(trajectories):
         if target is not None:
             write_trajectory_csv(traj, target / f"run_{index:03d}.csv", faces=faces)
-        distances = {
-            _face_key(f): distance_to_face(game, traj.final_profile(), f)
-            for f in faces
-        }
+        distances = _final_distances(game, traj, faces)
         min_dist = min(distances.values()) if distances else float("inf")
         resilience = check_limit_resilience(traj, game, tol=RESILIENCE_TOL)
-        return {
+        summaries.append({
             "run": index,
             "seed": traj.seed,
             "final_distances": distances,
             "min_distance": min_dist,
             "converged": bool(min_dist <= CONVERGENCE_THRESHOLD),
             "resilient": resilience.resilient,
-        }
-
-    jobs = range(len(trajectories))
-    workers = _thread_count(len(jobs))
-    if workers == 1:
-        summaries = [one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(one, jobs))
+        })
 
     converged = sum(s["converged"] for s in summaries)
     aggregate = {

@@ -7,7 +7,8 @@ the simplex. Three families are supported:
 * quadratic  theta(z) = z^2 / 2       (exact sparse Euclidean projection)
 * entropic   theta(z) = z log z       (closed-form logit map)
 * power      theta(z) = z^rho / (rho (rho - 1)),  rho in (0,1) or (1,2]
-             (safeguarded bisection on the dual variable)
+             (Newton steps on the dual variable inside a shrinking
+              bracket, the bracket midpoint when a step would leave it)
 
 All maps accept a single score vector or a 2-D batch of rows. Steep
 kernels (theta'(0+) = -inf) keep every coordinate strictly positive;

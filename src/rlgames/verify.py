@@ -11,7 +11,6 @@ c08 and will compute them on demand when run in isolation.
 from __future__ import annotations
 
 import itertools
-import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -19,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import distance_series, energy_series, fit_rate
+from .analysis import energy_series, fit_rate
 from .builtin import builtin_game, matching_pennies_2p
 from .config import config_from_dict
 from .errors import InputError
-from .experiments import THREADS_ENV, execute_batch, run_batch, run_experiment
+from .experiments import execute_batch, run_batch, run_experiment
 from .faces import (
     DeviationVector,
     _club_tables,
@@ -55,6 +54,7 @@ from .learning import (
     run,
 )
 from .regularizers import choice_map, conjugate, kernel_from_name
+from .trajectory import face_distances
 
 
 @dataclass
@@ -306,7 +306,7 @@ def _check_rate_laws(ctx):
     fit_a = fit_rate(traj, face, k)
     ok = fit_a.model == "finite_hit" and fit_a.hit_index is not None
     ok &= fit_a.hit_index <= 500
-    dist = distance_series(traj, face)
+    dist = face_distances(traj, face)
     ok &= dist[0] > 0.0 and bool((dist[fit_a.hit_index - 1 :] == 0.0).all())
     parts.append(f"euclidean hit at n={fit_a.hit_index} (exact zeros onward)")
 
@@ -384,7 +384,7 @@ def _check_nonclub_escape(ctx):
         stream = perturbation_stream(seed)
         y0 = [y + stream.uniform(-0.1, 0.1, 4) for y in base]
         traj = run(g, k, Full(), Schedule(0.2, 0.5), 10_000, y0=y0, seed=seed)
-        d = distance_series(traj, face)
+        d = face_distances(traj, face)
         E = energy_series(traj, zeta)
         if d[0] < 0.05 and d.max() > 0.05:
             escapes += 1
@@ -430,35 +430,26 @@ def _check_determinism(ctx):
             p.name: p.read_bytes() for p in sorted(Path(folder).glob("*.csv"))
         }
 
-    saved = os.environ.get(THREADS_ENV)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = config_from_dict(single)
-            run_experiment(cfg, out_dir=Path(tmp) / "a")
-            run_experiment(cfg, out_dir=Path(tmp) / "b")
-            first = (Path(tmp) / "a" / "trajectory.csv").read_bytes()
-            second = (Path(tmp) / "b" / "trajectory.csv").read_bytes()
-            single_ok = first == second
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = config_from_dict(single)
+        run_experiment(cfg, out_dir=Path(tmp) / "a")
+        run_experiment(cfg, out_dir=Path(tmp) / "b")
+        first = (Path(tmp) / "a" / "trajectory.csv").read_bytes()
+        second = (Path(tmp) / "b" / "trajectory.csv").read_bytes()
+        single_ok = first == second
 
-            cfg_b = config_from_dict(batch)
-            os.environ[THREADS_ENV] = "1"
-            run_batch(cfg_b, out_dir=Path(tmp) / "serial")
-            os.environ[THREADS_ENV] = "8"
-            run_batch(cfg_b, out_dir=Path(tmp) / "parallel")
-            serial = read_all(Path(tmp) / "serial")
-            parallel = read_all(Path(tmp) / "parallel")
-            agg_s = (Path(tmp) / "serial" / "aggregate.json").read_bytes()
-            agg_p = (Path(tmp) / "parallel" / "aggregate.json").read_bytes()
-            batch_ok = serial == parallel and len(serial) == 27 and agg_s == agg_p
-    finally:
-        if saved is None:
-            os.environ.pop(THREADS_ENV, None)
-        else:
-            os.environ[THREADS_ENV] = saved
+        cfg_b = config_from_dict(batch)
+        run_batch(cfg_b, out_dir=Path(tmp) / "first")
+        run_batch(cfg_b, out_dir=Path(tmp) / "second")
+        csv_a = read_all(Path(tmp) / "first")
+        csv_b = read_all(Path(tmp) / "second")
+        agg_a = (Path(tmp) / "first" / "aggregate.json").read_bytes()
+        agg_b = (Path(tmp) / "second" / "aggregate.json").read_bytes()
+        batch_ok = csv_a == csv_b and len(csv_a) == 27 and agg_a == agg_b
     return (
         single_ok and batch_ok,
         f"single rerun identical: {single_ok}; "
-        f"27-run batch serial == 8 threads: {batch_ok}",
+        f"27-run batch rerun identical: {batch_ok}",
         "byte-identical CSV and aggregate",
     )
 
@@ -497,7 +488,7 @@ CHECKS = (
           False, _check_nonclub_escape),
     Check("c10", "batch limit sets pass the resilience audit", None, False,
           _check_batch_resilience),
-    Check("c11", "reruns are byte-identical under any thread count", 10.0,
+    Check("c11", "reruns are byte-identical", 10.0,
           False, _check_determinism),
 )
 

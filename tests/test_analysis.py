@@ -13,7 +13,6 @@ from rlgames import (
     builtin_game,
     check_limit_resilience,
     deviation_vectors,
-    distance_series,
     energy_series,
     estimate_limit_set,
     face_distances,
@@ -195,11 +194,6 @@ def test_energy_series_reads_score_differences(vz, vz_traj):
         energy_series(vz_traj, DeviationVector(player=0, inside=0, outside=9))
 
 
-def test_distance_series_matches_face_distances(vz, vz_traj):
-    face = face_from_lists([[0, 2], [0, 2]])
-    assert np.array_equal(distance_series(vz_traj, face), face_distances(vz_traj, face))
-
-
 def test_rate_function_bounds_distance_termwise():
     # on a run converging into a one-point club, the kernel's rate function
     # applied to each deviation's energy dominates the outside mass
@@ -207,7 +201,7 @@ def test_rate_function_bounds_distance_termwise():
     y0 = [np.array([1.0, -1.0])] * 3
     traj = run(g, LOGIT, Full(), Schedule(0.2, 0.5), 3000, y0=y0)
     face = singleton_face(g, (0, 0, 0))
-    dist = distance_series(traj, face)
+    dist = face_distances(traj, face)
     bound = np.zeros(traj.horizon)
     for z in deviation_vectors(g, face):
         e = energy_series(traj, z)

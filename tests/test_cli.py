@@ -168,6 +168,8 @@ def test_batch_of_one_matches_the_single_run(tmp_path, capsys):
     assert same
     on_disk = json.loads((batch_out / "aggregate.json").read_text())
     assert on_disk == aggregate
+    report = json.loads((run_out / "report.json").read_text())
+    assert report["final_distances"] == aggregate["per_run"][0]["final_distances"]
 
 
 def test_batch_covers_the_grid(tmp_path, capsys):
