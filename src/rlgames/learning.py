@@ -15,10 +15,11 @@ other rows share the batch, so run r of a batch is bit for bit the single
 run from the same seed and start. :func:`run` is the one-run case.
 
 The step loop computes and records only what the recursion needs: x,
-scores, vhat and, under bandit feedback, the realized actions. Bias,
-noise and the regret summands are derived from the recorded rows after
-the loop, in blocks, with the same row-wise arithmetic the step would
-have used, so the record is the same bits either way.
+vhat and, under bandit feedback, the realized actions. Scores, bias,
+noise and the regret summands are derived from the recorded rows when a
+trajectory first reads them, with the same arithmetic in the same order
+the step would have used, so the record is the same bits either way and
+a caller that never reads them never pays for them.
 
 Randomness (bandit sampling only) comes from the counter-based Philox
 generator, keyed per (run seed, player): the draw used by player i at step
@@ -278,7 +279,8 @@ def _advance(runs: _Runs, game, kernel, feedback, gamma, delta, uniforms):
     (the (R, N) table row of draws for this step) feed bandit sampling and
     are None for the other feedback kinds. Returns the per-player (R, m_i)
     rows of vhat and the (R, N) realized actions (None when nothing was
-    sampled); :func:`_summands` derives the rest of the record afterwards.
+    sampled); the trajectory derives the rest of the record when it is
+    read (:class:`_Derivation`).
     """
     x = runs.current
     realized = None
@@ -342,6 +344,50 @@ def _summands(game, feedback, x, vhat, deltas, v_before):
     return v, bias, noise, gaps
 
 
+@dataclass(frozen=True)
+class _Derivation:
+    """Derives the fields the step loop does not store, for every
+    trajectory of one :func:`run_many` call.
+
+    `deltas` holds the exploration weight of every step (bandit feedback
+    only). Scores are derived on their own; bias, noise and gaps come
+    from one pass of :func:`_summands`, in blocks of at most
+    ``_DERIVE_ROWS`` steps.
+    """
+
+    game: Game
+    feedback: FeedbackKind
+    deltas: np.ndarray | None
+
+    def __call__(self, traj: Trajectory, name: str) -> dict[str, np.ndarray]:
+        if name == "scores":
+            # y_{k+1} = y_k + gamma_k * vhat_k, summed in the loop's order
+            scores = np.empty(traj.vhat.shape)
+            scores[0] = traj.y0
+            np.multiply(traj.gamma[:-1, None], traj.vhat[:-1], out=scores[1:])
+            return {"scores": np.cumsum(scores, axis=0, out=scores)}
+        cols = [traj.player_slice(i) for i in range(traj.n_players)]
+        bias = np.zeros(traj.vhat.shape)
+        noise = np.zeros(traj.vhat.shape)
+        gaps = np.empty((traj.horizon, traj.n_players))
+        v_last = None
+        for a in range(0, traj.horizon, _DERIVE_ROWS):
+            rows = slice(a, a + _DERIVE_ROWS)
+            v, b, nz, gaps[rows] = _summands(
+                self.game, self.feedback,
+                [traj.x[rows, c] for c in cols],
+                [traj.vhat[rows, c] for c in cols],
+                None if self.deltas is None else self.deltas[rows],
+                v_last,
+            )
+            if b is not None:
+                bias[rows] = np.concatenate(b, axis=1)
+            if nz is not None:
+                noise[rows] = np.concatenate(nz, axis=1)
+            v_last = [g[-1:] for g in v]
+        return {"bias": bias, "noise": noise, "gaps": gaps}
+
+
 def _clairvoyant_point(runs: _Runs, game, kernel, feedback, gamma):
     """Damped Picard iteration per row; a row stops once its own residual
     closes, so it takes the same iterates as it would alone."""
@@ -386,9 +432,12 @@ def run_many(
     the same arithmetic whatever other rows share the batch, and each run
     draws from its own (seed, player) Philox streams.
 
-    The step loop records x, scores, vhat and the realized actions; bias,
-    noise and the regret summands are then derived from those rows, one
-    run at a time in blocks of at most ``_DERIVE_ROWS`` steps.
+    The step loop stores x, vhat and the realized actions; each
+    trajectory derives its scores, bias, noise and regret summands from
+    those rows when it first reads them (see :class:`_Derivation`). The
+    runs of a batch share one read-only array each for n, gamma and tau,
+    and runs that never sample share one read-only block of -1 for their
+    realized actions.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise InputError("horizon must be a positive integer")
@@ -413,12 +462,8 @@ def run_many(
     out_gamma = np.empty(T)
     out_tau = np.empty(T)
     out_x = np.empty((R, T, D))
-    out_scores = np.empty((R, T, D))
     out_vhat = np.empty((R, T, D))
-    out_bias = np.zeros((R, T, D))
-    out_noise = np.zeros((R, T, D))
-    out_real = np.full((R, T, N), -1, dtype=np.int64)
-    out_gaps = np.empty((R, T, N))
+    out_real = None if uniforms is None else np.empty((R, T, N), dtype=np.int64)
 
     tau = 0.0
     comp = 0.0  # Kahan correction so tau stays exact over long runs
@@ -429,7 +474,6 @@ def run_many(
             delta = deltas[k] = feedback.exploration.value(k + 1)
             draws = uniforms[k]
         out_x[:, k] = np.concatenate(runs.current, axis=1)
-        out_scores[:, k] = np.concatenate(runs.scores, axis=1)
         vhat, realized = _advance(runs, game, kernel, feedback, gamma, delta, draws)
         yv = gamma - comp
         t = tau + yv
@@ -441,25 +485,13 @@ def run_many(
         if realized is not None:
             out_real[:, k] = realized
 
-    offsets = np.cumsum((0,) + game.n_actions)
-    cols = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
-    for r in range(R):
-        v_last = None
-        for a in range(0, T, _DERIVE_ROWS):
-            rows = slice(a, a + _DERIVE_ROWS)
-            v, bias, noise, out_gaps[r, rows] = _summands(
-                game, feedback,
-                [out_x[r, rows, c] for c in cols],
-                [out_vhat[r, rows, c] for c in cols],
-                None if deltas is None else deltas[rows],
-                v_last,
-            )
-            if bias is not None:
-                out_bias[r, rows] = np.concatenate(bias, axis=1)
-            if noise is not None:
-                out_noise[r, rows] = np.concatenate(noise, axis=1)
-            v_last = [g[-1:] for g in v]
-
+    steps = np.arange(1, T + 1, dtype=np.int64)
+    for shared in (steps, out_gamma, out_tau):
+        shared.flags.writeable = False
+    if out_real is None:
+        # runs that never sample share one read-only block of -1
+        out_real = np.broadcast_to(np.int64(-1), (R, T, N))
+    derive = _Derivation(game, feedback, deltas)
     return [
         Trajectory(
             n_actions=game.n_actions,
@@ -467,16 +499,13 @@ def run_many(
             feedback_label=feedback.label,
             seed=seeds[r],
             y0=np.concatenate(y0s[r]),
-            n=np.arange(1, T + 1, dtype=np.int64),
-            gamma=out_gamma.copy(),
-            tau=out_tau.copy(),
+            n=steps,
+            gamma=out_gamma,
+            tau=out_tau,
             x=out_x[r],
-            scores=out_scores[r],
             vhat=out_vhat[r],
-            bias=out_bias[r],
-            noise=out_noise[r],
             realized=out_real[r],
-            gaps=out_gaps[r],
+            derive=derive,
         )
         for r in range(R)
     ]
@@ -491,7 +520,7 @@ def run(
     y0=None,
     seed: int = 0,
 ) -> Trajectory:
-    """Run the template for `horizon` steps and collect the full record."""
+    """Run the template for `horizon` steps and return its record."""
     return run_many(game, kernel, feedback, step_schedule, horizon, [(seed, y0)])[0]
 
 

@@ -1,9 +1,11 @@
 """Time-indexed run records and their CSV interchange format.
 
-A Trajectory stores everything a driver produced, step by step: played
-profiles, scores, surrogate gain vectors with their bias/noise split, and
-per-player instantaneous regret summands. The CSV format is a strict
-subset with a fixed column order:
+A Trajectory holds a run step by step: played profiles, surrogate gain
+vectors and sampled actions are stored; scores, the bias/noise split of
+the gains and the per-player instantaneous regret summands are derived
+from them on first read and then cached, so a caller pays only for the
+fields it reads. The CSV format is a strict subset with a fixed column
+order:
 
     n, gamma, tau,
     x_<player>_<action> ... (player-major, action-major),
@@ -18,6 +20,7 @@ doubles exactly.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,16 @@ _CSV_ROWS = 16  # rows per block: larger blocks leave freed heap resident
 
 @dataclass
 class Trajectory:
-    """Complete record of one learning run."""
+    """Record of one learning run.
+
+    `derive(traj, name)` returns a dict of derived arrays that includes
+    `name`; the engine passes one, a hand-built trajectory may not. The
+    derived fields are:
+
+    - scores: (T, D) scores y_n matching x rows
+    - bias, noise: (T, D) split of vhat around v(x_n)
+    - gaps: (T, N) per-player instantaneous regret summands
+    """
 
     n_actions: tuple[int, ...]
     kernel_name: str
@@ -42,19 +54,29 @@ class Trajectory:
     gamma: np.ndarray  # (T,)
     tau: np.ndarray  # (T,) running sum of gamma
     x: np.ndarray  # (T, D) played profiles, flattened player-major
-    scores: np.ndarray  # (T, D) scores y_n matching x rows
     vhat: np.ndarray  # (T, D) surrogate gains
-    bias: np.ndarray  # (T, D)
-    noise: np.ndarray  # (T, D)
     realized: np.ndarray  # (T, N) sampled actions, -1 when not sampled
-    gaps: np.ndarray  # (T, N) per-player instantaneous regret summands
+    derive: Callable | None = field(default=None, repr=False)
     offsets: tuple[int, ...] = field(init=False)
+    _derived: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         offs = [0]
         for m in self.n_actions:
             offs.append(offs[-1] + int(m))
         self.offsets = tuple(offs)
+
+    def _read(self, name: str) -> np.ndarray:
+        if name not in self._derived:
+            if self.derive is None:
+                raise InputError(f"trajectory has no source to derive {name!r} from")
+            self._derived.update(self.derive(self, name))
+        return self._derived[name]
+
+    scores = property(lambda self: self._read("scores"))
+    bias = property(lambda self: self._read("bias"))
+    noise = property(lambda self: self._read("noise"))
+    gaps = property(lambda self: self._read("gaps"))
 
     @property
     def n_players(self) -> int:

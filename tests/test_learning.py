@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,20 +447,22 @@ FEEDBACKS = {
 
 @pytest.mark.parametrize("label", sorted(FEEDBACKS))
 def test_derived_record_matches_stepwise_records(vz, label, monkeypatch):
-    # a 30-step run derives bias, noise and gaps after its loop in blocks of
-    # 7 steps; a run of horizon k + 1 derived one row at a time ends on step
-    # k + 1 alone; its last row has the same bits as row k of the long run
+    # a 30-step run derives bias, noise and gaps in blocks of 7 steps; a run
+    # of horizon k + 1 derived one row at a time ends on step k + 1 alone;
+    # its last row has the same bits as row k of the long run
     feedback = FEEDBACKS[label]
     sch = Schedule(0.2, 0.5)
     y0 = [np.array([0.3, -0.1, 0.0, 0.2]), np.array([-0.4, 0.0, 0.1, 0.3])]
+    names = ("x", "scores", "vhat", "bias", "noise", "realized", "gaps")
     monkeypatch.setattr(learning, "_DERIVE_ROWS", 7)
     traj = run(vz, LOGIT, feedback, sch, 30, y0=y0, seed=8)
+    long_rows = {name: getattr(traj, name) for name in names}  # derived now
     monkeypatch.setattr(learning, "_DERIVE_ROWS", 1)
     for k in range(30):
         last = run(vz, LOGIT, feedback, sch, k + 1, y0=y0, seed=8)
-        for name in ("x", "scores", "vhat", "bias", "noise", "realized", "gaps"):
+        for name in names:
             got = getattr(last, name)[k].tobytes()
-            assert got == getattr(traj, name)[k].tobytes(), (name, k)
+            assert got == long_rows[name][k].tobytes(), (name, k)
     if label != "bandit":
         assert not traj.noise.any()
     if label == "full":
@@ -497,6 +500,48 @@ def test_derived_record_follows_its_definitions_exactly(vz, label, monkeypatch):
             for i, s in enumerate((slice(0, 4), slice(4, 8))):
                 want = v[k][s].max() - (v[k][s] * traj.x[k, s]).sum()
                 assert traj.gaps[k, i] == want, block
+
+
+def test_derived_fields_are_cached(vz):
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    traj = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 50, seed=4)
+    for name in ("scores", "bias", "noise", "gaps"):
+        first = getattr(traj, name)
+        assert getattr(traj, name) is first, name
+
+
+def test_batch_record_stays_below_three_dense_arrays(vz):
+    # the batch keeps x and vhat, (R, T, D) floats each, plus the (R, T, N)
+    # realized actions and uniform draws; scores, bias, noise and gaps are
+    # derived only when read. Storing them too takes more than twice this
+    R, T = 27, 2000
+    dense = R * T * sum(vz.n_actions) * np.dtype(float).itemsize
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    starts = random_starts(vz, R)
+    tracemalloc.start()
+    try:
+        batch = run_many(vz, LOGIT, fb, Schedule(0.2, 0.5), T, starts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == R
+    assert peak < 3 * dense, (peak, dense)
+
+
+@pytest.mark.parametrize("feedback", [Full(), Bandit(exploration=Schedule(0.1, 0.15))],
+                         ids=["full", "bandit"])
+def test_batch_shares_read_only_per_run_constants(vz, feedback):
+    batch = run_many(vz, LOGIT, feedback, Schedule(0.2, 0.5), 30, random_starts(vz, 3))
+    shared = ("n", "gamma", "tau")
+    if feedback.label == "full":
+        shared += ("realized",)  # one block of -1 for runs that never sample
+    for name in shared:
+        for traj in batch:
+            array = getattr(traj, name)
+            assert np.shares_memory(array, getattr(batch[0], name)), name
+            with pytest.raises(ValueError):
+                array[0] = 0
+    assert np.all(batch[0].realized == -1) == (feedback.label == "full")
 
 
 def test_clairvoyant_stall_names_the_run(vz):
