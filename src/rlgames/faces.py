@@ -5,10 +5,18 @@ closedness test (`is_club`) asks that every action outside a player's
 subset earn strictly less than every action inside it against every pure
 profile the other players can form inside the face; because payoffs are
 multilinear in the opponents' mixtures, checking the pure vertices of the
-opposing face is exact. `is_curb` checks the coarser best-reply closure on
-a finite grid over the opposing face. `is_resilient` solves, per player,
-a small minimax LP certifying that no prepared mixture beats the face's
-candidate points uniformly.
+opposing face is exact. `club_margin` measures that test on one face.
+
+The face lattice indexes a player's support by its bitmask: action a is
+bit a, and the nonempty supports are masks 1 .. 2^m - 1. `face_margins`
+returns the margin of every face as one array with one axis per player,
+entry mask - 1 on each, built from subset-max and subset-min tables that
+double along each axis; `enumerate_clubs` keeps its positive entries.
+
+`is_curb` checks the coarser best-reply closure on a finite grid over the
+opposing face. `is_resilient` solves, per player, a small minimax LP
+certifying that no prepared mixture beats the face's candidate points
+uniformly.
 """
 
 from __future__ import annotations
@@ -126,16 +134,7 @@ def deviation_vectors(game: Game, face: Face) -> list[DeviationVector]:
 # closedness under better replies
 
 
-def _club_tables(game: Game):
-    """Per player: D_i[b, a, opp profile axes] = u_i(b; .) - u_i(a; .)."""
-    tables = []
-    for i in range(game.n_players):
-        u = np.moveaxis(game.payoffs[i], i, 0)
-        tables.append(u[:, None] - u[None, :])
-    return tables
-
-
-def club_margin(game: Game, face: Face, tables=None) -> float:
+def club_margin(game: Game, face: Face) -> float:
     """Worst-case inside-minus-outside payoff gap over the face's vertices.
 
     Positive means every outside action loses strictly to every inside
@@ -144,8 +143,6 @@ def club_margin(game: Game, face: Face, tables=None) -> float:
     no deviations and gets +inf.
     """
     check_face(game, face)
-    if tables is None:
-        tables = _club_tables(game)
     margin = np.inf
     for i in range(game.n_players):
         inside = list(face.supports[i])
@@ -153,22 +150,47 @@ def club_margin(game: Game, face: Face, tables=None) -> float:
         if not outside:
             continue
         opp = [face.supports[j] for j in range(game.n_players) if j != i]
-        sub = tables[i]
-        for axis, keep in enumerate([outside, inside, *opp]):
-            sub = sub.take(keep, axis=axis)
-        margin = min(margin, float(-sub.max()))
+        u = np.moveaxis(game.payoffs[i], i, 0)
+        for axis, keep in enumerate(opp, start=1):
+            u = u.take(keep, axis=axis)
+        gaps = u[outside][:, None] - u[inside][None, :]
+        margin = min(margin, float(-gaps.max()))
     return float(margin)
 
 
-def is_club(game: Game, face: Face, tables=None) -> bool:
+def is_club(game: Game, face: Face) -> bool:
     """Closed under better replies (strict vertex test; ties fail)."""
-    return club_margin(game, face, tables=tables) > 0.0
+    return club_margin(game, face) > 0.0
 
 
-def enumerate_clubs(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> list[Face]:
-    """Every club face, sorted by total support size then lexicographically.
+def _subset_reduce(arr: np.ndarray, axis: int, op) -> np.ndarray:
+    """Replace `axis` (length m) by its 2^m - 1 nonempty action subsets.
 
-    Raises ResourceLimitError if the face lattice exceeds `max_faces`.
+    Entry mask - 1 along the axis is `op` (np.maximum or np.minimum) over
+    the actions whose bits are set in mask. Each action k doubles the
+    table: the subsets with top bit k are those below it joined with k.
+    """
+    arr = arr.swapaxes(0, axis)
+    out = np.empty(((1 << arr.shape[0]) - 1,) + arr.shape[1:])
+    for k, row in enumerate(arr):
+        low = (1 << k) - 1  # out[:low] holds the subsets of actions below k
+        out[low] = row
+        op(out[:low], row, out=out[low + 1 : 2 * low + 1])
+    return out.swapaxes(0, axis)
+
+
+def face_margins(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> np.ndarray:
+    """`club_margin` of every face at once, bit for bit.
+
+    The array has one axis per player; a face whose player-i support has
+    bitmask mask_i sits at index (mask_0 - 1, mask_1 - 1, ...). Per player,
+    the rounded gap u(b; v) - u(a; v) is largest where u(b; v) is largest
+    and u(a; v) smallest, because rounding is monotone. So the worst gap
+    at each opposing vertex v is the best outside payoff (a max over the
+    complement mask, -inf for a full support) minus the worst inside one,
+    and the max over the opposing face's vertices is a subset-max along
+    each opponent axis. Raises ResourceLimitError before allocating if the
+    lattice exceeds `max_faces`.
     """
     total = 1
     for m in game.n_actions:
@@ -178,18 +200,39 @@ def enumerate_clubs(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> list[Face
                 f"face lattice has more than {max_faces} faces; "
                 "raise max_faces to enumerate anyway"
             )
-    tables = _club_tables(game)
-    subsets = []
-    for m in game.n_actions:
-        subs = []
-        for r in range(1, m + 1):
-            subs.extend(itertools.combinations(range(m), r))
-        subsets.append(subs)
-    found = []
-    for combo in itertools.product(*subsets):
-        face = Face(supports=combo)
-        if is_club(game, face, tables=tables):
-            found.append(face)
+    margins = None
+    for i in range(game.n_players):
+        u = game.payoffs[i].swapaxes(0, i)
+        worst_in = _subset_reduce(u, 0, np.minimum)
+        best = _subset_reduce(u, 0, np.maximum)
+        # row k is support mask k + 1, and its complement's row is the
+        # k-th from the end but one; the full support (last row) has no
+        # outside action
+        gaps = np.empty_like(worst_in)
+        np.subtract(best[-2::-1], worst_in[:-1], out=gaps[:-1])
+        gaps[-1] = -np.inf
+        for axis in range(1, game.n_players):
+            gaps = _subset_reduce(gaps, axis, np.maximum)
+        gaps = gaps.swapaxes(0, i)
+        np.negative(gaps, out=gaps)
+        margins = gaps if margins is None else np.minimum(margins, gaps, out=margins)
+    return margins
+
+
+def _mask_support(mask: int) -> tuple[int, ...]:
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
+
+
+def enumerate_clubs(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> list[Face]:
+    """Every club face, sorted by total support size then lexicographically.
+
+    Raises ResourceLimitError if the face lattice exceeds `max_faces`.
+    """
+    margins = face_margins(game, max_faces=max_faces)
+    found = [
+        Face(supports=tuple(_mask_support(int(k) + 1) for k in index))
+        for index in zip(*np.nonzero(margins > 0.0))
+    ]
     found.sort(key=lambda f: (f.size(), f.supports))
     return found
 

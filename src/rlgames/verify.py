@@ -25,10 +25,9 @@ from .errors import InputError
 from .experiments import execute_batch, run_batch, run_experiment
 from .faces import (
     DeviationVector,
-    _club_tables,
     check_face,
-    club_margin,
     face_from_lists,
+    face_margins,
     is_club,
     minimal_clubs,
     singleton_face,
@@ -142,10 +141,10 @@ def _check_singleton_club_equivalence(ctx):
         g = random_game(rng, shape)
         games += 1
         brute = _brute_strict_nash(g)
-        tables = _club_tables(g)
+        margins = face_margins(g)
         for prof in itertools.product(*[range(m) for m in shape]):
-            face = singleton_face(g, prof)
-            club = club_margin(g, face, tables) > 0.0
+            # the singleton {a} has bitmask 1 << a
+            club = margins[tuple((1 << a) - 1 for a in prof)] > 0.0
             if club != (prof in brute):
                 disagreements += 1
     return (

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rlgames import (
     enumerate_clubs,
     enumerate_pure_nash,
     face_from_lists,
+    face_margins,
     full_face,
     is_club,
     is_curb,
@@ -25,7 +27,6 @@ from rlgames import (
     random_game,
     singleton_face,
 )
-from rlgames.faces import _club_tables
 from rlgames.game import Game, make_game, payoff_mixed, payoff_pure, payoff_vector
 from rlgames.minimax_lp import solve_minimax_lp
 
@@ -122,10 +123,13 @@ def test_club_margins_on_known_faces(vz):
     assert not is_club(vz, face_from_lists(SQUARE))
 
 
-def test_club_margin_accepts_precomputed_tables(vz):
-    tables = _club_tables(vz)
-    for face in (singleton_face(vz, (2, 2)), face_from_lists(SQUARE)):
-        assert club_margin(vz, face, tables=tables) == club_margin(vz, face)
+def test_face_margins_index_faces_by_support_bitmask(vz):
+    margins = face_margins(vz)
+    assert margins.shape == (15, 15)
+    # {2} is mask 0b100, {0, 2} is 0b101, the full support 0b1111
+    assert margins[3, 3] == club_margin(vz, singleton_face(vz, (2, 2)))
+    assert margins[4, 4] == club_margin(vz, face_from_lists(SQUARE))
+    assert margins[14, 14] == np.inf
 
 
 def test_vz_club_census(vz):
@@ -191,18 +195,62 @@ def test_club_agrees_with_brute_definition_on_random_games():
         n = int(rng.integers(2, 4))
         shape = tuple(int(rng.integers(2, 4)) for _ in range(n))
         game = random_game(rng, shape)
-        tables = _club_tables(game)
         for face in all_faces(game):
-            assert is_club(game, face, tables=tables) == brute_is_club(game, face)
+            assert is_club(game, face) == brute_is_club(game, face)
+
+
+def _random_shapes(rng, count):
+    """Shapes (2..4)^(2..3): two or three players, two to four actions each."""
+    for _ in range(count):
+        n = int(rng.integers(2, 4))
+        yield tuple(int(rng.integers(2, 5)) for _ in range(n))
+
+
+def _mask_index(face: Face):
+    return tuple(sum(1 << a for a in s) - 1 for s in face.supports)
+
+
+def test_face_margins_equal_club_margin_on_every_face():
+    rng = np.random.default_rng(304)
+    for shape in _random_shapes(rng, 40):
+        game = random_game(rng, shape)
+        margins = face_margins(game)
+        assert margins.shape == tuple((1 << m) - 1 for m in shape)
+        for face in all_faces(game):
+            want = np.float64(club_margin(game, face))
+            assert margins[_mask_index(face)].tobytes() == want.tobytes(), face
 
 
 def test_enumerate_clubs_matches_brute_filter():
     rng = np.random.default_rng(302)
-    for _ in range(20):
-        game = random_game(rng, (3, 3))
+    shapes = [(3, 3)] * 20 + list(_random_shapes(rng, 20))
+    for shape in shapes:
+        game = random_game(rng, shape)
         want = [f.supports for f in all_faces(game) if brute_is_club(game, f)]
         got = [f.supports for f in enumerate_clubs(game)]
-        assert sorted(got) == sorted(want)
+        assert got == sorted(want, key=lambda s: (sum(map(len, s)), s))
+
+
+def test_zero_margin_faces_are_not_clubs():
+    """Ties fail: the closedness test is strict, as the theorem is."""
+    spectator = builtin_game("spectator")
+    tie = face_from_lists([[0], [0], [0]])  # the spectator is indifferent
+    assert face_margins(spectator)[_mask_index(tie)] == 0.0
+    assert club_margin(spectator, tie) == 0.0
+    assert not is_club(spectator, tie)
+    assert tie.supports not in [f.supports for f in enumerate_clubs(spectator)]
+    rng = np.random.default_rng(305)
+    ties = 0
+    for shape in _random_shapes(rng, 20):
+        game = make_game([rng.integers(-1, 2, shape).astype(float) for _ in shape])
+        margins = face_margins(game)
+        clubs = {f.supports for f in enumerate_clubs(game)}
+        for face in all_faces(game):
+            margin = margins[_mask_index(face)]
+            assert margin == club_margin(game, face)
+            assert (face.supports in clubs) == (margin > 0.0) == brute_is_club(game, face)
+            ties += margin == 0.0
+    assert ties > 0
 
 
 def test_club_is_invariant_under_positive_affine_rescaling():
@@ -219,6 +267,31 @@ def test_club_is_invariant_under_positive_affine_rescaling():
 def test_enumerate_clubs_refuses_oversized_lattices(vz):
     with pytest.raises(ResourceLimitError):
         enumerate_clubs(vz, max_faces=10)
+    with pytest.raises(ResourceLimitError):
+        face_margins(vz, max_faces=10)
+    # 40 actions each: (2^40 - 1)^2 faces, refused before any table exists
+    wide = make_game([np.zeros((40, 40)), np.zeros((40, 40))])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            enumerate_clubs(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 40 * 8
+
+
+def test_enumerate_clubs_peaks_near_one_lattice_array():
+    """A 9x9 lattice may hold a few faces-sized arrays, not one per action."""
+    game = random_game(np.random.default_rng(306), (9, 9))
+    faces = 511 * 511
+    tracemalloc.start()
+    try:
+        enumerate_clubs(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * faces * 8
 
 
 # ---------------------------------------------------------------------------
