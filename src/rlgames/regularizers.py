@@ -7,8 +7,8 @@ the simplex. Three families are supported:
 * quadratic  theta(z) = z^2 / 2       (exact sparse Euclidean projection)
 * entropic   theta(z) = z log z       (closed-form logit map)
 * power      theta(z) = z^rho / (rho (rho - 1)),  rho in (0,1) or (1,2]
-             (Newton steps on the dual variable inside a shrinking
-              bracket, the bracket midpoint when a step would leave it)
+             (plain Newton steps on the dual variable, rising from the
+              point where the largest coordinate alone reaches 1)
 
 All maps accept a single score vector or a 2-D batch of rows. Steep
 kernels (theta'(0+) = -inf) keep every coordinate strictly positive;
@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import InputError, NumericError
 
-_BISECT_ITERS = 200
-_SUM_TOL = 1e-12
+_NEWTON_ITERS = 200
+_CLOSE_TOL = 1e-13  # a power-kernel row freezes once |sum x - 1| is this small
+_FAIL_TOL = 1e-8  # a residual above this after _NEWTON_ITERS raises NumericError
 
 
 @dataclass(frozen=True)
@@ -172,16 +173,18 @@ def _project_simplex(batch):
 
 
 def _power_choice(kernel: Kernel, batch):
-    """Solve sum_a g(y_a - mu) = 1 for the dual variable mu, rowwise.
+    """Solve f(mu) = sum_a g(y_a - mu) = 1 for the dual variable mu, rowwise.
 
-    g is theta_prime_inv clipped to the kernel's domain. The bracket
-    [max y - theta'(1), max y - theta'(1/m)] always straddles the root:
-    at the lower end the largest coordinate alone reaches 1, at the upper
-    end every coordinate is at most 1/m. Safeguarded root finding: Newton
-    steps (the sum is convex and decreasing in mu) clipped to the bracket,
-    falling back to the midpoint, until the simplex residual closes. A row
-    is frozen once its own residual closes, so it maps to the same bits
-    whatever other rows share the batch.
+    g is theta_prime_inv clipped to the kernel's domain, so each term is
+    convex and nonincreasing in mu: a negative power of a positive linear
+    function when rho < 1, the positive part of a linear function raised
+    to 1/(rho - 1) >= 1 when rho > 1. Newton starts at the root's lower
+    bound lo = max y - theta'(1), where the largest coordinate alone
+    reaches 1, so f(lo) >= 1. Below the root, the tangent of a convex
+    decreasing f lies under f and meets 1 no further right than the root,
+    so the iterates rise monotonically to it and f' < 0 on every one of
+    them. A row is frozen once its own residual closes, so it maps to the
+    same bits whatever other rows share the batch.
     """
     m = batch.shape[1]
     if m == 1:
@@ -190,15 +193,12 @@ def _power_choice(kernel: Kernel, batch):
     scale = rho - 1.0
     inv_exp = 1.0 / scale
     steep = kernel.steep
-    top = batch.max(axis=1)
-    lo = top - kernel.theta_prime_at_one()
-    hi = top - float(kernel.theta_prime(1.0 / m))
-    mu = 0.5 * (lo + hi)
+    mu = batch.max(axis=1) - kernel.theta_prime_at_one()
 
     def eval_at(mu):
         w = batch - mu[:, None]
         if rho == 0.5:
-            x = 4.0 / (w * w)  # w < 0 inside the bracket
+            x = 4.0 / (w * w)  # w < 0 from lo on, as mu only rises
             dx = x * np.sqrt(x)
         elif steep:
             x = np.power(scale * w, inv_exp)
@@ -210,22 +210,21 @@ def _power_choice(kernel: Kernel, batch):
         return x, x.sum(axis=1), dx.sum(axis=1)
 
     x, s, ds = eval_at(mu)
-    for _ in range(_BISECT_ITERS):
+    for _ in range(_NEWTON_ITERS):
         resid = s - 1.0
-        open_rows = np.abs(resid) > 1e-13
+        open_rows = np.abs(resid) > _CLOSE_TOL
         if not open_rows.any():
             break
-        pos = resid > 0
-        lo = np.where(pos, mu, lo)
-        hi = np.where(pos, hi, mu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = mu + resid / ds
-        mid = 0.5 * (lo + hi)
-        step = np.where((newton > lo) & (newton < hi), newton, mid)
-        mu = np.where(open_rows, step, mu)
+        mu = np.where(open_rows, mu + resid / ds, mu)
         x, s, ds = eval_at(mu)
-    if np.any(np.abs(s - 1.0) > 1e-8):
-        raise NumericError("choice map root finding failed to close the bracket")
+    resid = np.abs(s - 1.0)
+    worst = int(np.argmax(resid))
+    if resid[worst] > _FAIL_TOL:
+        raise NumericError(
+            f"choice map of kernel '{kernel.name}' (rho = {rho:g}): row {worst} "
+            f"has simplex residual {resid[worst]:.3e} after the cap of "
+            f"{_NEWTON_ITERS} Newton iterations"
+        )
     return x / s[:, None]
 
 

@@ -9,6 +9,7 @@ from scipy.special import softmax
 from rlgames import (
     InputError,
     Kernel,
+    NumericError,
     choice_map,
     choice_map_profile,
     conjugate,
@@ -16,6 +17,7 @@ from rlgames import (
     kernel_from_name,
     rate_function,
 )
+from rlgames import regularizers
 
 KERNEL_NAMES = ["euclidean", "logit", "tsallis", "power:0.8", "power:1.5", "power:2"]
 
@@ -260,6 +262,58 @@ def test_batch_maps_each_row_as_if_alone(name):
         mapped = choice_map(k, batch)
         for row, y in zip(mapped, batch):
             assert row.tobytes() == choice_map(k, y).tobytes()
+
+
+STRESS_RHOS = (0.05, 0.5, 0.9, 0.99, 1.01, 1.05, 1.2, 1.5, 1.95)
+
+
+def stress_batches(rng, m):
+    """Equal rows at random levels, N(0, 1) rows and x50-spread rows."""
+    equal = np.zeros((8, m)) + rng.normal(0.0, 5.0, (8, 1))
+    normal = rng.normal(0.0, 1.0, (32, m))
+    spread = 50.0 * rng.normal(0.0, 1.0, (32, m))
+    return {"equal": equal, "normal": normal, "spread": spread}
+
+
+@pytest.mark.parametrize("rho", STRESS_RHOS)
+def test_power_newton_closes_every_row_on_a_stress_grid(rho, monkeypatch):
+    # Raising at the freeze tolerance makes any row left open an error, so a
+    # clean return means every row closed |sum x - 1| <= 1e-13 before the
+    # final normalisation. Division by a zero slope or a power of a negative
+    # base would raise too: Newton from lo keeps ds > 0 on every iterate.
+    monkeypatch.setattr(regularizers, "_FAIL_TOL", 1e-13)
+    k = kernel_from_name("tsallis" if rho == 0.5 else f"power:{rho}")
+    assert (k.variant, k.rho) == ("power", rho)
+    rng = np.random.default_rng(int(rho * 100))
+    for m in (2, 4, 7, 16):
+        for kind, batch in stress_batches(rng, m).items():
+            with np.errstate(divide="raise", invalid="raise"):
+                mapped = choice_map(k, batch)
+                singles = [choice_map(k, y) for y in batch]
+            for row, alone in zip(mapped, singles):
+                assert row.tobytes() == alone.tobytes(), (m, kind)
+            for y, x in zip(batch, mapped):
+                spread, slack = kkt_residual(k, y, x)
+                assert spread < 1e-7 and slack < 1e-7, (m, kind)
+            if rho == 0.5:
+                # the tsallis KKT check of perfbench: y_a + 2/sqrt(x_a) is flat
+                w = 2.0 / np.sqrt(mapped)
+                c = batch + w
+                spread = c.max(axis=1) - c.min(axis=1)
+                assert (spread <= 1e-11 * w.max(axis=1)).all(), (m, kind)
+
+
+def test_power_newton_failure_names_kernel_row_and_cap(monkeypatch):
+    monkeypatch.setattr(regularizers, "_NEWTON_ITERS", 1)
+    batch = np.zeros((2, 16))
+    batch[0] = -40.0
+    batch[0, 0] = 5.0  # nearly a vertex: closes at once
+    with pytest.raises(
+        NumericError,
+        match=r"kernel 'tsallis' \(rho = 0\.5\): row 1 has simplex residual "
+        r"\d\.\d{3}e[+-]\d+ after the cap of 1 Newton iterations",
+    ):
+        choice_map(kernel_from_name("tsallis"), batch)
 
 
 def test_choice_map_profile_maps_stacks_of_rows(rng):
