@@ -9,10 +9,14 @@ with the feedback kind deciding how vhat_n is produced from the current
 play. Each vhat splits as vhat = v(x_n) + bias + noise, and both parts are
 recorded so tests can check the advertised envelopes directly.
 
-One engine steps R runs in lockstep: each player's scores and strategies
-are (R, m_i) arrays, and every operation treats a row the same whatever
-other rows share the batch, so run r of a batch is bit for bit the single
-run from the same seed and start. :func:`run` is the one-run case.
+One engine steps R runs in lockstep. Its scores and strategies are flat
+(R, D) arrays laid out like the recorded x and vhat rows, each player's
+(R, m_i) columns a view into them; consecutive players with equal action
+counts form a block, viewed as (R, n_b, m_b), and each step makes one
+numpy call per block and operation. Every operation treats a row the
+same whatever other rows share the batch, so run r of a batch is bit for
+bit the single run from the same seed and start. :func:`run` is the
+one-run case.
 
 The step loop computes and records only what the recursion needs: x,
 vhat and, under bandit feedback, the realized actions. Scores, bias,
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .game import Game, _payoff_vectors_unchecked, check_profile
-from .regularizers import Kernel, choice_map_profile
+from .regularizers import Kernel, _choice_blocks, _Layout, _layout
 from .trajectory import Trajectory
 
 _INIT_STREAM = 0xFFFFFFFF  # reserved substream for initial-score perturbation
@@ -149,8 +153,15 @@ def perturbation_stream(seed: int) -> np.random.Generator:
 # bandit building blocks
 #
 # Each block takes one profile, or R profiles at once as per-player (R, m_i)
-# rows, and validates what it is given. The lockstep engine below calls the
-# unchecked cores on per-player (R, m_i) rows it built itself.
+# rows, and validates what it is given. Its unchecked core acts on flat
+# (R, D) rows, player-major like the recorded x and vhat rows, with one
+# numpy call per block of consecutive equal-size players (see _Layout); the
+# lockstep engine below calls the cores on the flat state it built itself.
+
+
+def _flat(profile) -> tuple[np.ndarray, _Layout]:
+    xs = [np.asarray(x, dtype=float) for x in profile]
+    return np.concatenate(xs, axis=-1), _layout(tuple(x.shape[-1] for x in xs))
 
 
 def explored_profile(profile, delta) -> list[np.ndarray]:
@@ -160,11 +171,12 @@ def explored_profile(profile, delta) -> list[np.ndarray]:
     """
     if not np.all((0.0 < delta) & (delta <= 1.0)):
         raise InputError("exploration weight must lie in (0, 1]")
-    return _explored_unchecked([np.asarray(x, dtype=float) for x in profile], delta)
+    x, layout = _flat(profile)
+    return layout.split(_explored_unchecked(x, delta, layout.m_col))
 
 
-def _explored_unchecked(xs, delta) -> list[np.ndarray]:
-    return [(1.0 - delta) * x + delta / x.shape[-1] for x in xs]
+def _explored_unchecked(x, delta, m_col) -> np.ndarray:
+    return (1.0 - delta) * x + delta / m_col
 
 
 def sample_actions(explored, uniforms):
@@ -180,18 +192,19 @@ def sample_actions(explored, uniforms):
     xs = [np.atleast_2d(x) for x in explored]
     if any(len(x) != len(rows) for x in xs):
         raise InputError("explored rows and uniform rows disagree in number")
-    actions = _sample_actions_unchecked(xs, rows)
+    x, layout = _flat(xs)
+    actions = _sample_actions_unchecked(x, rows, layout.blocks, np.empty(rows.shape, np.int64))
     return actions if u.ndim == 2 else actions[0].tolist()
 
 
-def _sample_actions_unchecked(xs, uniforms) -> np.ndarray:
-    actions = np.empty(uniforms.shape, dtype=np.int64)
-    for i, x in enumerate(xs):
-        c = np.cumsum(x, axis=1)
+def _sample_actions_unchecked(x, uniforms, blocks, out) -> np.ndarray:
+    """Draw on flat (R, D) rows into the (R, N) array `out`."""
+    for players, cols, m in blocks:
+        c = np.add.accumulate(x[:, cols].reshape(len(x), -1, m), axis=2)
         # counting c <= u * total is searchsorted(c, u * total, side="right")
-        count = (c <= (uniforms[:, i] * c[:, -1])[:, None]).sum(axis=1)
-        actions[:, i] = np.minimum(count, c.shape[1] - 1)
-    return actions
+        count = np.add.reduce(c <= (uniforms[:, players] * c[..., -1])[..., None], axis=2)
+        np.minimum(count, m - 1, out=out[:, players])
+    return out
 
 
 def iwe(game: Game, explored, realized):
@@ -203,38 +216,33 @@ def iwe(game: Game, explored, realized):
     `explored` holds (R, m_i) rows and `realized` is (R, N).
     """
     rows = np.ndim(explored[0]) == 2
-    xs = [np.atleast_2d(x) for x in check_profile(game, explored, rows)]
+    x, layout = _flat(np.atleast_2d(x) for x in check_profile(game, explored, rows))
     acts = np.atleast_2d(np.asarray(realized)).astype(np.int64)
-    if acts.shape != (len(xs[0]), game.n_players):
+    if acts.shape != (len(x), game.n_players):
         raise InputError("one realized action per player is required")
     bad = (acts < 0) | (acts >= game.n_actions)
     if bad.any():
         r, i = np.argwhere(bad)[0]
         raise InputError(f"realized action {acts[r, i]} out of range for player {i}")
-    every = np.arange(len(acts))
-    for i, x in enumerate(xs):
-        a = acts[:, i]
-        zero = x[every, a] <= 0.0
-        if zero.any():
-            raise InputError(
-                f"realized action {a[zero][0]} has zero sampling "
-                f"probability for player {i}"
-            )
-    out = _iwe_unchecked(game, xs, acts)
+    bad = x[np.arange(len(x))[:, None], layout.offsets + acts] <= 0.0
+    if bad.any():
+        r, i = np.argwhere(bad)[0]
+        raise InputError(
+            f"realized action {acts[r, i]} has zero sampling probability for player {i}"
+        )
+    out = _iwe_unchecked(np.stack(game.payoffs), layout.offsets, x, acts, np.empty(x.shape))
+    out = layout.split(out)
     return out if rows else [v[0] for v in out]
 
 
-def _iwe_unchecked(game: Game, xs, acts) -> list[np.ndarray]:
-    """The estimate on rows; every realized action must have positive
-    probability, as it does under any explored profile."""
-    every = np.arange(len(acts))
-    profile = tuple(acts.T)
-    out = []
-    for i, x in enumerate(xs):
-        a = acts[:, i]
-        v = np.zeros(x.shape)
-        v[every, a] = game.payoffs[i][profile] / x[every, a]
-        out.append(v)
+def _iwe_unchecked(payoffs, offsets, xhat, acts, out) -> np.ndarray:
+    """The estimate on flat (R, D) rows, written into `out`. `payoffs`
+    stacks the payoff tensors, so one gather reads all (N, R) realized
+    payoffs. Every realized action must have positive probability."""
+    rows = np.arange(len(acts))[:, None]
+    cols = offsets + acts
+    out.fill(0.0)
+    out[rows, cols] = payoffs[(slice(None),) + tuple(acts.T)].T / xhat[rows, cols]
     return out
 
 
@@ -244,103 +252,115 @@ def _iwe_unchecked(game: Game, xs, acts) -> list[np.ndarray]:
 
 @dataclass
 class _Runs:
-    """R runs of one template stepped together: per-player (R, m_i) rows."""
+    """R runs of one template stepped together. `scores`, `current` and
+    `previous` are flat (R, D) arrays laid out like the recorded x and vhat
+    rows (see ``regularizers._Layout``); a player's (R, m_i) rows are views
+    into them."""
 
     seeds: tuple[int, ...]
-    scores: list[np.ndarray]
-    current: list[np.ndarray]
-    previous: list[np.ndarray]
+    payoffs: np.ndarray  # the stacked payoff tensors, for the estimate
+    scores: np.ndarray
+    current: np.ndarray
+    previous: np.ndarray
     step_index: int = 1
 
 
-def _initial_scores(game: Game, y0) -> list[np.ndarray]:
+def _initial_scores(game: Game, y0) -> np.ndarray:
+    """One start's scores as a flat (D,) vector."""
     if y0 is None:
-        return [np.zeros(m) for m in game.n_actions]
+        return np.zeros(sum(game.n_actions))
     if len(y0) != game.n_players:
         raise InputError("initial scores need one vector per player")
-    scores = []
-    for i, v in enumerate(y0):
-        v = np.asarray(v, dtype=float).copy()
+    scores = [np.asarray(v, dtype=float) for v in y0]
+    for i, v in enumerate(scores):
         if v.shape != (game.n_actions[i],):
             raise InputError(
                 f"initial scores for player {i} have shape {v.shape}, "
                 f"expected ({game.n_actions[i]},)"
             )
-        if not np.all(np.isfinite(v)):
-            raise InputError("initial scores contain NaN or Inf")
-        scores.append(v)
-    return scores
+    flat = np.concatenate(scores)
+    if not np.isfinite(flat).all():
+        raise InputError("initial scores contain NaN or Inf")
+    return flat
 
 
-def _advance(runs: _Runs, game, kernel, feedback, gamma, delta, uniforms):
+def _field(game: Game, x, out=None) -> np.ndarray:
+    """The payoff operator v(x) on flat (R, D) rows, as flat rows."""
+    xs = _layout(game.n_actions).split(x)
+    return np.concatenate(_payoff_vectors_unchecked(game, xs), axis=1, out=out)
+
+
+def _advance(runs: _Runs, game, kernel, feedback, gamma, delta, uniforms, vhat, realized):
     """Advance every run by one template step of size `gamma`.
 
-    Computes only what the next scores depend on. `delta` and `uniforms`
-    (the (R, N) table row of draws for this step) feed bandit sampling and
-    are None for the other feedback kinds. Returns the per-player (R, m_i)
-    rows of vhat and the (R, N) realized actions (None when nothing was
-    sampled); the trajectory derives the rest of the record when it is
-    read (:class:`_Derivation`).
+    Computes only what the next scores depend on, and writes the (R, D)
+    rows of vhat into `vhat` and, under bandit feedback, the (R, N)
+    realized actions into `realized`. `delta` and `uniforms` (the (R, N)
+    table row of draws for this step) feed bandit sampling; all three are
+    None for the other feedback kinds. The trajectory derives the rest of
+    the record when it is read (:class:`_Derivation`).
     """
+    layout = _layout(game.n_actions)
     x = runs.current
-    realized = None
-    if isinstance(feedback, Full):
-        vhat = _payoff_vectors_unchecked(game, x)
+    if isinstance(feedback, Bandit):
+        xhat = _explored_unchecked(x, delta, layout.m_col)
+        _sample_actions_unchecked(xhat, uniforms, layout.blocks, realized)
+        _iwe_unchecked(runs.payoffs, layout.offsets, xhat, realized, vhat)
+    elif isinstance(feedback, Full):
+        _field(game, x, vhat)
     elif isinstance(feedback, Optimistic):
         # previous is x_1 at n = 1, so the first step is plain
-        v_prev = _payoff_vectors_unchecked(game, runs.previous)
-        v = _payoff_vectors_unchecked(game, x)
-        vhat = [2.0 * a - b for a, b in zip(v, v_prev)]
+        np.subtract(2.0 * _field(game, x), _field(game, runs.previous), out=vhat)
     elif isinstance(feedback, MirrorProx):
-        v = _payoff_vectors_unchecked(game, x)
-        y_half = [y + gamma * g for y, g in zip(runs.scores, v)]
-        vhat = _payoff_vectors_unchecked(game, choice_map_profile(kernel, y_half))
+        x_half = _choice_blocks(kernel, runs.scores + gamma * _field(game, x), layout.blocks)
+        _field(game, x_half, vhat)
     elif isinstance(feedback, Clairvoyant):
-        x_fix = _clairvoyant_point(runs, game, kernel, feedback, gamma)
-        vhat = _payoff_vectors_unchecked(game, x_fix)
-    elif isinstance(feedback, Bandit):
-        xhat = _explored_unchecked(x, delta)
-        realized = _sample_actions_unchecked(xhat, uniforms)
-        vhat = _iwe_unchecked(game, xhat, realized)
+        _field(game, _clairvoyant_point(runs, game, kernel, feedback, gamma), vhat)
     else:
         raise InputError(f"unknown feedback kind {feedback!r}")
 
-    runs.scores = [y + gamma * g for y, g in zip(runs.scores, vhat)]
+    runs.scores += gamma * vhat
+    if not np.isfinite(runs.scores).all():
+        r = int(np.flatnonzero(~np.isfinite(runs.scores).all(axis=1))[0])
+        raise InputError(
+            f"scores overflowed to NaN or Inf at step {runs.step_index} "
+            f"in run {r} (seed {runs.seeds[r]})"
+        )
     runs.previous = x
-    runs.current = choice_map_profile(kernel, runs.scores)
+    runs.current = _choice_blocks(kernel, runs.scores, layout.blocks)
     runs.step_index += 1
-    return vhat, realized
 
 
 def _summands(game, feedback, x, vhat, deltas, v_before):
     """Bias, noise and regret summands of consecutive recorded steps.
 
-    `x` and `vhat` hold per-player (B, m_i) rows of one run, `deltas` the
+    `x` and `vhat` hold flat (B, D) rows of one run, `deltas` the
     exploration weights of those steps (bandit feedback only), and
-    `v_before` the per-player (1, m_i) field v(x) of the step before the
-    first row (optimistic feedback only; None at step 1, where the
-    previous profile is x_1 itself). Every formula acts row by row, so the
-    rows match what the step loop would have computed in place.
+    `v_before` the (1, D) field v(x) of the step before the first row
+    (optimistic feedback only; None at step 1, where the previous profile
+    is x_1 itself). Every formula acts row by row, so the rows match what
+    the step loop would have computed in place.
 
-    Returns the per-player rows of v(x), bias and noise (None where the
+    Returns the (B, D) rows of v(x), bias and noise (None where the
     feedback kind makes them zero) and the (B, N) regret summands.
     """
+    layout = _layout(game.n_actions)
     # full feedback uses v(x) itself as its gain vector
-    v = vhat if isinstance(feedback, Full) else _payoff_vectors_unchecked(game, x)
+    v = vhat if isinstance(feedback, Full) else _field(game, x)
     gaps = np.stack(
-        [g.max(axis=1) - (g * xi).sum(axis=1) for g, xi in zip(v, x)], axis=1
+        [g.max(axis=1) - (g * xi).sum(axis=1)
+         for g, xi in zip(layout.split(v), layout.split(x))], axis=1
     )
     bias = noise = None
     if isinstance(feedback, Optimistic):
-        first = v if v_before is None else v_before
-        bias = [g - np.concatenate([f[:1], g[:-1]]) for g, f in zip(v, first)]
+        bias = v - np.concatenate([v[:1] if v_before is None else v_before, v[:-1]])
     elif isinstance(feedback, (MirrorProx, Clairvoyant)):
-        bias = [a - b for a, b in zip(vhat, v)]
+        bias = vhat - v
     elif isinstance(feedback, Bandit):
         # the explored profile, as the step drew it
-        v_mean = _payoff_vectors_unchecked(game, _explored_unchecked(x, deltas[:, None]))
-        bias = [a - b for a, b in zip(v_mean, v)]
-        noise = [a - b for a, b in zip(vhat, v_mean)]
+        xhat = _explored_unchecked(x, deltas[:, None], layout.m_col)
+        v_mean = _field(game, xhat)
+        bias, noise = v_mean - v, vhat - v_mean
     return v, bias, noise, gaps
 
 
@@ -366,7 +386,6 @@ class _Derivation:
             scores[0] = traj.y0
             np.multiply(traj.gamma[:-1, None], traj.vhat[:-1], out=scores[1:])
             return {"scores": np.cumsum(scores, axis=0, out=scores)}
-        cols = [traj.player_slice(i) for i in range(traj.n_players)]
         bias = np.zeros(traj.vhat.shape)
         noise = np.zeros(traj.vhat.shape)
         gaps = np.empty((traj.horizon, traj.n_players))
@@ -374,36 +393,36 @@ class _Derivation:
         for a in range(0, traj.horizon, _DERIVE_ROWS):
             rows = slice(a, a + _DERIVE_ROWS)
             v, b, nz, gaps[rows] = _summands(
-                self.game, self.feedback,
-                [traj.x[rows, c] for c in cols],
-                [traj.vhat[rows, c] for c in cols],
+                self.game, self.feedback, traj.x[rows], traj.vhat[rows],
                 None if self.deltas is None else self.deltas[rows],
                 v_last,
             )
             if b is not None:
-                bias[rows] = np.concatenate(b, axis=1)
+                bias[rows] = b
             if nz is not None:
-                noise[rows] = np.concatenate(nz, axis=1)
-            v_last = [g[-1:] for g in v]
+                noise[rows] = nz
+            v_last = v[-1:]
         return {"bias": bias, "noise": noise, "gaps": gaps}
 
 
 def _clairvoyant_point(runs: _Runs, game, kernel, feedback, gamma):
     """Damped Picard iteration per row; a row stops once its own residual
     closes, so it takes the same iterates as it would alone."""
-    x = [xi.copy() for xi in runs.current]
+    layout = _layout(game.n_actions)
+    x = runs.current.copy()
     active = np.arange(len(runs.seeds))
     for _ in range(feedback.max_iters):
-        xa = [xi[active] for xi in x]
-        v = _payoff_vectors_unchecked(game, xa)
-        target = choice_map_profile(
-            kernel, [y[active] + gamma * g for y, g in zip(runs.scores, v)]
-        )
+        xa = x[active]
+        target = _choice_blocks(kernel, runs.scores[active] + gamma * _field(game, xa),
+                                layout.blocks)
         # damped Picard update, relaxation 1/2
-        x_new = [0.5 * a + 0.5 * b for a, b in zip(xa, target)]
-        resid = np.max([np.abs(a - b).sum(axis=1) for a, b in zip(x_new, xa)], axis=0)
-        for xi, xn in zip(x, x_new):
-            xi[active] = xn
+        x_new = 0.5 * xa + 0.5 * target
+        resid = np.max(
+            [np.abs(a - b).sum(axis=1)
+             for a, b in zip(layout.split(x_new), layout.split(xa))],
+            axis=0,
+        )
+        x[active] = x_new
         still = ~(resid <= feedback.tol)
         if not still.any():
             return x
@@ -427,17 +446,20 @@ def run_many(
 ) -> list[Trajectory]:
     """Run the template from every (seed, y0) start at once, in lockstep.
 
-    All runs advance together as one array program. Trajectory r is bit
-    for bit what ``run(..., y0=y0_r, seed=seed_r)`` records: every row gets
-    the same arithmetic whatever other rows share the batch, and each run
-    draws from its own (seed, player) Philox streams.
+    All runs advance together as one array program on flat (R, D) state,
+    with one numpy call per block of consecutive equal-size players.
+    Trajectory r is bit for bit what ``run(..., y0=y0_r, seed=seed_r)``
+    records: every row gets the same arithmetic whatever other rows share
+    the batch, and each run draws from its own (seed, player) Philox
+    streams.
 
     The step loop stores x, vhat and the realized actions; each
     trajectory derives its scores, bias, noise and regret summands from
     those rows when it first reads them (see :class:`_Derivation`). The
     runs of a batch share one read-only array each for n, gamma and tau,
     and runs that never sample share one read-only block of -1 for their
-    realized actions.
+    realized actions. Scores that overflow raise :class:`InputError`
+    naming the step, the run and its seed.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise InputError("horizon must be a positive integer")
@@ -446,9 +468,10 @@ def run_many(
         raise InputError("at least one start is required")
     seeds = tuple(int(seed) for seed, _ in starts)
     y0s = [_initial_scores(game, y0) for _, y0 in starts]
-    scores = [np.stack(col) for col in zip(*y0s)]
-    current = choice_map_profile(kernel, scores)
-    runs = _Runs(seeds=seeds, scores=scores, current=current, previous=current)
+    scores = np.stack(y0s)
+    current = _choice_blocks(kernel, scores, _layout(game.n_actions).blocks)
+    runs = _Runs(seeds=seeds, payoffs=np.stack(game.payoffs),
+                 scores=scores, current=current, previous=current)
     R = len(seeds)
     N = game.n_players
     D = sum(game.n_actions)
@@ -469,21 +492,19 @@ def run_many(
     comp = 0.0  # Kahan correction so tau stays exact over long runs
     for k in range(T):
         gamma = step_schedule.value(k + 1)
-        delta = draws = None
+        delta = draws = realized = None
         if deltas is not None:
             delta = deltas[k] = feedback.exploration.value(k + 1)
             draws = uniforms[k]
-        out_x[:, k] = np.concatenate(runs.current, axis=1)
-        vhat, realized = _advance(runs, game, kernel, feedback, gamma, delta, draws)
+            realized = out_real[:, k]
+        out_x[:, k] = runs.current
+        _advance(runs, game, kernel, feedback, gamma, delta, draws, out_vhat[:, k], realized)
         yv = gamma - comp
         t = tau + yv
         comp = (t - tau) - yv
         tau = t
         out_gamma[k] = gamma
         out_tau[k] = tau
-        out_vhat[:, k] = np.concatenate(vhat, axis=1)
-        if realized is not None:
-            out_real[:, k] = realized
 
     steps = np.arange(1, T + 1, dtype=np.int64)
     for shared in (steps, out_gamma, out_tau):
@@ -498,7 +519,7 @@ def run_many(
             kernel_name=kernel.name,
             feedback_label=feedback.label,
             seed=seeds[r],
-            y0=np.concatenate(y0s[r]),
+            y0=y0s[r],
             n=steps,
             gamma=out_gamma,
             tau=out_tau,

@@ -17,6 +17,8 @@ non-steep ones return exact zeros.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +151,18 @@ def _check_scores(y):
 def choice_map(kernel: Kernel, y) -> np.ndarray:
     """argmax_x <y, x> - h(x) over the simplex, per row."""
     arr, batch = _check_scores(y)
-    if kernel.variant == "quadratic":
-        out = _project_simplex(batch)
-    elif kernel.variant == "entropic":
-        shifted = batch - batch.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=1, keepdims=True)
-    else:
-        out = _power_choice(kernel, batch)
+    out = _choice_unchecked(kernel, batch)
     return out[0] if arr.ndim == 1 else out
+
+
+def _choice_unchecked(kernel: Kernel, batch):
+    """The choice map of a 2-D batch of finite score rows."""
+    if kernel.variant == "quadratic":
+        return _project_simplex(batch)
+    if kernel.variant == "entropic":
+        e = np.exp(batch - batch.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    return _power_choice(kernel, batch)
 
 
 def _project_simplex(batch):
@@ -228,23 +233,61 @@ def _power_choice(kernel: Kernel, batch):
     return x / s[:, None]
 
 
+class _Layout:
+    """The columns of flat (R, D) rows that hold one vector per player, side
+    by side: player i owns ``cols[i]``, which starts at ``offsets[i]``, and
+    ``m_col`` holds each column's own m_i as a float. ``blocks`` lists
+    (players, columns, m) for each run of consecutive players with equal
+    action counts m; its columns view as (R, n_b, m)."""
+
+    def __init__(self, sizes):
+        sizes = [int(m) for m in sizes]
+        self.offsets = np.cumsum([0] + sizes[:-1])
+        self.cols = tuple(slice(a, a + m) for a, m in zip(self.offsets.tolist(), sizes))
+        self.m_col = np.repeat(np.asarray(sizes, dtype=float), sizes)
+        self.offsets.flags.writeable = self.m_col.flags.writeable = False
+        blocks, p = [], 0
+        for m, run in itertools.groupby(sizes):
+            n = len(list(run))
+            cols = slice(self.cols[p].start, self.cols[p + n - 1].stop)
+            blocks.append((slice(p, p + n), cols, m))
+            p += n
+        self.blocks = tuple(blocks)
+
+    def split(self, flat) -> list[np.ndarray]:
+        """Per-player views (..., m_i) of flat (..., D) rows."""
+        return [flat[..., c] for c in self.cols]
+
+
+# one shared, read-only layout per tuple of action counts
+_layout = functools.lru_cache(maxsize=256)(_Layout)
+
+
+def _choice_blocks(kernel: Kernel, flat, blocks) -> np.ndarray:
+    """The choice map of every player in flat (R, D) score rows, one call
+    of the unchecked core per block, on its (R * n_b, m) rows."""
+    parts = [
+        _choice_unchecked(kernel, flat[:, cols].reshape(-1, m)).reshape(len(flat), -1)
+        for _, cols, m in blocks
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
 def choice_map_profile(kernel: Kernel, scores) -> list[np.ndarray]:
     """Apply the choice map to one score vector per player.
 
     An entry may also be a stack of R score rows (R, m_i), one per run; the
-    strategies then come back with the same shapes. Players with equal
-    action counts are batched into a single call, which matters inside
-    simulation loops.
+    strategies then come back with the same shapes. Consecutive players
+    with equal action counts are mapped in a single call, which matters
+    inside simulation loops.
     """
-    arrs = [np.asarray(s, dtype=float) for s in scores]
-    out: list = [None] * len(arrs)
-    for m in {a.shape[-1] for a in arrs}:
-        idx = [i for i, a in enumerate(arrs) if a.shape[-1] == m]
-        block = np.stack([arrs[i] for i in idx], axis=-2)
-        mapped = choice_map(kernel, block.reshape(-1, m)).reshape(block.shape)
-        for row, i in enumerate(idx):
-            out[i] = mapped[..., row, :]
-    return out
+    arrs = [_check_scores(s)[0] for s in scores]
+    if len({a.shape[:-1] for a in arrs}) > 1:
+        raise InputError("every player needs the same number of score rows")
+    layout = _layout(tuple(a.shape[-1] for a in arrs))
+    flat = np.concatenate([np.atleast_2d(a) for a in arrs], axis=1)
+    out = layout.split(_choice_blocks(kernel, flat, layout.blocks))
+    return [x.reshape(a.shape) for x, a in zip(out, arrs)]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,19 @@ def mp():
 LOGIT = kernel_from_name("logit")
 
 
+def seeded_game(shape, seed):
+    rng = np.random.default_rng(seed)
+    return make_game([rng.uniform(-1.0, 1.0, shape) for _ in shape])
+
+
+# players of unequal action counts: the engine steps them in several blocks
+MIXED = {"mixed_2x3": seeded_game((2, 3), 23), "mixed_3x2x2": seeded_game((3, 2, 2), 322)}
+
+
+def game_named(name):
+    return MIXED[name] if name in MIXED else builtin_game(name)
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -312,6 +325,29 @@ def test_bandit_step_decomposition(vz):
         assert np.all(est[mask] == 0.0)
 
 
+@pytest.mark.parametrize("game_name", ["vz4x4", "mixed_2x3"])
+def test_bandit_steps_match_the_public_blocks(game_name):
+    # step the public, validating blocks by hand: the engine's x, vhat and
+    # realized actions are theirs, bit for bit, at every step
+    game = game_named(game_name)
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    sch = Schedule(0.2, 0.5)
+    T = 20
+    y = [np.random.default_rng(3).uniform(-1.0, 1.0, m) for m in game.n_actions]
+    traj = run(game, LOGIT, fb, sch, T, y0=y, seed=42)
+    table = uniform_table(42, game.n_players, T)
+    x = choice_map_profile(LOGIT, y)
+    for k in range(T):
+        assert np.concatenate(x).tobytes() == traj.x[k].tobytes(), k
+        xhat = explored_profile(x, fb.exploration.value(k + 1))
+        realized = sample_actions(xhat, table[k])
+        assert realized == traj.realized[k].tolist(), k
+        est = iwe(game, xhat, realized)
+        assert np.concatenate(est).tobytes() == traj.vhat[k].tobytes(), k
+        y = [yi + sch.value(k + 1) * e for yi, e in zip(y, est)]
+        x = choice_map_profile(LOGIT, y)
+
+
 def test_bandit_exploration_must_stay_in_range():
     with pytest.raises(InputError):
         Bandit(exploration=Schedule(1.5, 0.0))
@@ -416,6 +452,10 @@ def random_starts(game, count):
 
 @pytest.mark.parametrize("game_name,kernel_name,feedback", [
     ("parity", "logit", Bandit(exploration=Schedule(0.1, 0.15))),
+    ("mixed_2x3", "logit", Bandit(exploration=Schedule(0.1, 0.15))),
+    ("mixed_3x2x2", "logit", Bandit(exploration=Schedule(0.1, 0.15))),
+    ("mixed_2x3", "euclidean", Full()),
+    ("mixed_3x2x2", "euclidean", Full()),
     ("vz4x4", "tsallis", Full()),
     ("vz4x4", "logit", Clairvoyant(tol=1e-12)),
     ("spectator", "logit", Optimistic()),
@@ -423,7 +463,7 @@ def random_starts(game, count):
     ("parity", "euclidean", Bandit(exploration=Schedule(0.1, 0.15))),
 ])
 def test_batch_rows_match_single_runs(game_name, kernel_name, feedback):
-    game = builtin_game(game_name)
+    game = game_named(game_name)
     kernel = kernel_from_name(kernel_name)
     sch = Schedule(0.2, 0.5)
     starts = random_starts(game, 5)
@@ -550,6 +590,22 @@ def test_clairvoyant_stall_names_the_run(vz):
     stalls = [np.array([2.0, 0.0, -1.0, 0.0])] * 2
     with pytest.raises(NumericError, match="in run 1 "):
         run_many(vz, LOGIT, fb, Schedule(0.5, 0.0), 1, [(1, settled), (2, stalls)])
+
+
+def test_score_overflow_names_the_step_run_and_seed():
+    # matching pennies at +-1e300 with steps of 1e10: run 0 starts at the
+    # mixed equilibrium and its field stays 0; run 1's second player leans
+    # slightly, so its opponent's scores jump to about 5e307 at step 1, the
+    # first player turns pure, and the second player's scores overflow at step 2
+    big = make_game([[[1e300, -1e300], [-1e300, 1e300]],
+                     [[-1e300, 1e300], [1e300, -1e300]]])
+    starts = [(5, None), (7, [np.zeros(2), np.array([0.01, 0.0])])]
+    sch = Schedule(1e10)
+    one_step = run_many(big, LOGIT, Full(), sch, 1, starts)
+    assert np.abs(one_step[1].vhat[0, :2]).max() * 1e10 > 1e307
+    with np.errstate(over="ignore"), \
+            pytest.raises(InputError, match=r"at step 2 in run 1 \(seed 7\)"):
+        run_many(big, LOGIT, Full(), sch, 3, starts)
 
 
 def test_run_many_needs_a_start(vz):

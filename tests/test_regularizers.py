@@ -316,6 +316,14 @@ def test_power_newton_failure_names_kernel_row_and_cap(monkeypatch):
         choice_map(kernel_from_name("tsallis"), batch)
 
 
+def test_choice_map_profile_validates_every_player():
+    k = kernel_from_name("logit")
+    with pytest.raises(InputError, match="same number of score rows"):
+        choice_map_profile(k, [np.zeros((2, 2)), np.zeros((3, 3))])
+    with pytest.raises(InputError, match="NaN or Inf"):
+        choice_map_profile(k, [np.zeros(2), np.array([0.0, np.inf, 1.0])])
+
+
 def test_choice_map_profile_maps_stacks_of_rows(rng):
     k = kernel_from_name("tsallis")
     scores = [rng.uniform(-2, 2, (5, m)) for m in (2, 4, 2, 3)]
