@@ -15,6 +15,7 @@ from .faces import Face, DeviationVector, check_face, is_resilient, ResilienceRe
 from .game import (
     Game,
     _correlated_payoffs,
+    _layout,
     _payoff_vector_unchecked,
     check_distribution,
     check_player,
@@ -40,11 +41,7 @@ def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expecte
         raise InputError("trajectory and game disagree on action counts")
     check_player(game, player)
     if mode == "expected":
-        xs = check_profile(
-            game,
-            [trajectory.x[:, trajectory.player_slice(j)] for j in range(game.n_players)],
-            rows=True,
-        )
+        xs = check_profile(game, _layout(game.n_actions).split(trajectory.x), rows=True)
         per_action = _payoff_vector_unchecked(game, player, xs)
         value = (per_action * xs[player]).sum(axis=1)
     elif mode == "realized":
@@ -84,8 +81,7 @@ def energy_series(trajectory: Trajectory, deviation: DeviationVector) -> np.ndar
     m = trajectory.n_actions[i]
     if not (0 <= deviation.inside < m and 0 <= deviation.outside < m):
         raise InputError("deviation actions out of range for the run")
-    sl = trajectory.player_slice(i)
-    block = trajectory.scores[:, sl]
+    block = trajectory.scores[:, trajectory.player_slice(i)]
     return block[:, deviation.outside] - block[:, deviation.inside]
 
 
@@ -113,17 +109,13 @@ def estimate_limit_set(
         raise InputError("dedup radius must be positive")
     T = trajectory.horizon
     start = T - max(1, int(np.ceil(window_fraction * T)))
-    window = trajectory.x[start:]
-    reps: list[np.ndarray] = []
-    for row in window:
-        if not any(np.abs(row - r).sum() <= epsilon for r in reps):
-            reps.append(row)
-    points = tuple(
-        tuple(row[trajectory.player_slice(i)].copy() for i in range(trajectory.n_players))
-        for row in reps
-    )
+    reps: dict[int, np.ndarray] = {}  # first-seen row index -> its row
+    for k in range(start, T):
+        row = trajectory.x[k]
+        if not any(np.abs(row - r).sum() <= epsilon for r in reps.values()):
+            reps[k] = row
     return LimitSetEstimate(
-        points=points,
+        points=tuple(tuple(trajectory.profile_at(k)) for k in reps),
         window_fraction=window_fraction,
         epsilon=epsilon,
         first_index=start,

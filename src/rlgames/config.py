@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,6 +129,18 @@ def _require(data: dict, key: str, kind, what: str):
     return value
 
 
+def _finite_number(value, what: str) -> float:
+    """`value` as a float, if it is a JSON number (not a bool) that a
+    double holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number")
+    # ints compare exactly, so this rejects NaN, Inf and any integer too
+    # large for a double
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be finite")
+    return float(value)
+
+
 def _schedule_from(data, where: str) -> Schedule:
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object with base and exponent")
@@ -136,14 +149,10 @@ def _schedule_from(data, where: str) -> Schedule:
         raise ConfigError(f"{where} has unknown fields {sorted(extra)}")
     if "base" not in data:
         raise ConfigError(f"{where} is missing its base")
-    base = data["base"]
-    exponent = data.get("exponent", 0.0)
-    if not isinstance(base, (int, float)) or isinstance(base, bool):
-        raise ConfigError(f"{where} base must be a number")
-    if not isinstance(exponent, (int, float)) or isinstance(exponent, bool):
-        raise ConfigError(f"{where} exponent must be a number")
+    base = _finite_number(data["base"], f"{where} base")
+    exponent = _finite_number(data.get("exponent", 0.0), f"{where} exponent")
     try:
-        return Schedule(float(base), float(exponent))
+        return Schedule(base, exponent)
     except Exception as exc:
         raise ConfigError(f"{where} is invalid: {exc}") from exc
 
@@ -171,13 +180,13 @@ def _feedback_from(data: dict) -> FeedbackKind:
     if kind == "clairvoyant":
         if extra:
             raise ConfigError(f"clairvoyant feedback has unknown fields {sorted(extra)}")
-        tol = spec.get("tol", 1e-10)
+        tol = _finite_number(spec.get("tol", 1e-10), "clairvoyant tol")
         max_iters = spec.get("max_iters", 1000)
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
+        if tol <= 0:
             raise ConfigError("clairvoyant tol must be a positive number")
         if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
             raise ConfigError("clairvoyant max_iters must be a positive integer")
-        return Clairvoyant(tol=float(tol), max_iters=max_iters)
+        return Clairvoyant(tol=tol, max_iters=max_iters)
     # bandit: the exploration schedule lives in its own top-level field
     if "exploration" not in data:
         raise ConfigError("bandit feedback requires an 'exploration' schedule")
@@ -203,13 +212,9 @@ def _init_from(spec) -> InitSpec:
             raise ConfigError("explicit init requires a nonempty 'scores' list")
         rows = []
         for row in scores:
-            if not isinstance(row, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-            ):
+            if not isinstance(row, list):
                 raise ConfigError("explicit init scores must be lists of numbers")
-            if not all(np.isfinite(v) for v in row):
-                raise ConfigError("explicit init scores must be finite")
-            rows.append(tuple(float(v) for v in row))
+            rows.append(tuple(_finite_number(v, "explicit init score") for v in row))
         return ExplicitInit(scores=tuple(rows))
     if kind == "grid":
         extra = set(spec) - {"kind", "values", "dims", "radius"}
@@ -218,19 +223,15 @@ def _init_from(spec) -> InitSpec:
         values = spec.get("values", [-1.0, 0.0, 1.0])
         dims = spec.get("dims", 3)
         radius = spec.get("radius", 0.1)
-        if not isinstance(values, list) or not values or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
-            for v in values
-        ):
+        if not isinstance(values, list) or not values:
             raise ConfigError("grid init values must be a nonempty list of finite numbers")
+        values = tuple(_finite_number(v, "grid init value") for v in values)
         if not isinstance(dims, int) or isinstance(dims, bool) or dims < 1:
             raise ConfigError("grid init dims must be a positive integer")
-        bad_radius = isinstance(radius, bool) or not isinstance(radius, (int, float))
-        if bad_radius or not np.isfinite(radius) or radius < 0:
+        radius = _finite_number(radius, "grid init radius")
+        if radius < 0:
             raise ConfigError("grid init radius must be a finite number >= 0")
-        return GridInit(
-            values=tuple(float(v) for v in values), dims=dims, radius=float(radius)
-        )
+        return GridInit(values=values, dims=dims, radius=radius)
     raise ConfigError("init kind must be 'explicit' or 'grid'")
 
 
@@ -321,6 +322,6 @@ def config_from_json(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past Python's digit limit
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -66,7 +66,7 @@ def _face_key(face: Face) -> str:
 
 
 def _final_distances(game: Game, traj: Trajectory, faces) -> dict:
-    final = traj.final_profile()
+    final = traj.profile_at(-1)
     return {_face_key(f): distance_to_face(game, final, f) for f in faces}
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .game import Game, _payoff_vector_unchecked, check_profile
+from .game import Game, _flat, _layout, _payoff_vector_unchecked, check_profile
 from .minimax_lp import solve_minimax_lp
 
 MAX_FACES_DEFAULT = 1_000_000
@@ -77,14 +77,19 @@ class DeviationVector:
 
 
 def check_face(game: Game, face: Face) -> Face:
-    if face.n_players != game.n_players:
+    return _check_face(game.n_actions, face)
+
+
+def _check_face(n_actions, face: Face) -> Face:
+    """Reject a face that does not fit these per-player action counts."""
+    if face.n_players != len(n_actions):
         raise InputError(
-            f"face has {face.n_players} supports, game has {game.n_players} players"
+            f"face has {face.n_players} supports, game has {len(n_actions)} players"
         )
     for i, sub in enumerate(face.supports):
-        if sub[-1] >= game.n_actions[i]:
+        if sub[-1] >= n_actions[i]:
             raise InputError(f"face support for player {i} mentions action {sub[-1]}, "
-                             f"but the player has {game.n_actions[i]} actions")
+                             f"but the player has {n_actions[i]} actions")
     return face
 
 
@@ -107,14 +112,20 @@ def full_face(game: Game) -> Face:
 
 def distance_to_face(game: Game, profile, face: Face) -> float:
     """Total probability mass the profile puts outside the face's supports."""
-    xs = check_profile(game, profile)
-    check_face(game, face)
-    total = 0.0
-    for i, x in enumerate(xs):
-        inside = np.zeros(game.n_actions[i], dtype=bool)
-        inside[list(face.supports[i])] = True
-        total += float(x[~inside].sum())
-    return total
+    x, _ = _flat(check_profile(game, profile))
+    return float(_outside_mass(game.n_actions, face, x[None])[0])
+
+
+def _outside_mass(n_actions, face: Face, flat) -> np.ndarray:
+    """Mass each flat (R, D) profile row puts outside the face: one sum over
+    the outside columns, in column order. `distance_to_face` and
+    `trajectory.face_distances` both come here, so they agree bit for bit."""
+    _check_face(n_actions, face)
+    layout = _layout(n_actions)
+    outside = np.ones(layout.dim, dtype=bool)
+    for part, sub in zip(layout.split(outside), face.supports):
+        part[list(sub)] = False
+    return flat[:, outside].sum(axis=1)
 
 
 def deviation_vectors(game: Game, face: Face) -> list[DeviationVector]:

@@ -8,6 +8,10 @@ Conventions used throughout the package:
 * A mixed strategy for player i is a 1-D float array of length
   ``n_actions[i]`` on the probability simplex.
 * A mixed profile is a sequence of per-player mixed strategies.
+* A flat row (length D = sum(n_actions)) puts a profile's strategies side
+  by side, player-major; the engine's state and every trajectory are (R, D)
+  stacks of such rows. :func:`_layout`, the one owner of that layout, says
+  which columns belong to which player.
 * A correlated distribution is a single joint tensor of shape ``n_actions``.
 
 Functions validate their inputs and raise :class:`InputError` on contract
@@ -16,8 +20,10 @@ violations rather than letting numpy produce silently wrong answers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +132,43 @@ def check_profile(game: Game, profile, rows: bool = False) -> list[np.ndarray]:
     if rows and len({len(x) for x in xs}) > 1:
         raise InputError("profile rows disagree on the number of profiles")
     return xs
+
+
+class _Layout:
+    """The columns of flat (..., D) rows that hold one vector per player,
+    side by side: player i owns ``cols[i]``, which starts at ``offsets[i]``,
+    ``dim`` is D and ``m_col`` holds each column's own m_i as a float.
+    ``blocks`` lists (players, columns, m) for each run of consecutive
+    players with equal action counts m; its columns view as (R, n_b, m)."""
+
+    def __init__(self, sizes):
+        sizes = [int(m) for m in sizes]
+        self.dim = sum(sizes)
+        self.offsets = np.cumsum([0] + sizes[:-1])
+        self.cols = tuple(slice(a, a + m) for a, m in zip(self.offsets.tolist(), sizes))
+        self.m_col = np.repeat(np.asarray(sizes, dtype=float), sizes)
+        self.offsets.flags.writeable = self.m_col.flags.writeable = False
+        blocks, p = [], 0
+        for m, run in itertools.groupby(sizes):
+            n = len(list(run))
+            cols = slice(self.cols[p].start, self.cols[p + n - 1].stop)
+            blocks.append((slice(p, p + n), cols, m))
+            p += n
+        self.blocks = tuple(blocks)
+
+    def split(self, flat) -> list[np.ndarray]:
+        """Per-player views (..., m_i) of flat (..., D) rows."""
+        return [flat[..., c] for c in self.cols]
+
+
+# one shared, read-only layout per tuple of action counts
+_layout = functools.lru_cache(maxsize=256)(_Layout)
+
+
+def _flat(profile) -> tuple[np.ndarray, _Layout]:
+    """A profile's strategies, or stacks of R rows, as flat rows and layout."""
+    xs = [np.asarray(x, dtype=float) for x in profile]
+    return np.concatenate(xs, axis=-1), _layout(tuple(x.shape[-1] for x in xs))
 
 
 def check_distribution(game: Game, dist) -> np.ndarray:
@@ -373,14 +416,16 @@ def game_from_dict(data: dict) -> Game:
     size = int(np.prod(shape))
     tables = []
     for i, flat in enumerate(payoffs):
-        if not isinstance(flat, list) or len(flat) != size:
+        # ints compare exactly, so this rejects NaN, Inf and any integer too
+        # large for a double
+        if not isinstance(flat, list) or len(flat) != size or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in flat
+        ):
             raise InputError(
-                f"payoff table for player {i} must be a flat list of {size} numbers"
+                f"payoff table for player {i} must be a flat list of {size} finite numbers"
             )
-        arr = np.asarray(flat, dtype=float).reshape(shape, order="C")
-        if not np.all(np.isfinite(arr)):
-            raise InputError(f"payoff table for player {i} contains NaN or Inf")
-        tables.append(arr)
+        tables.append(np.asarray(flat, dtype=float).reshape(shape, order="C"))
     return make_game(tables)
 
 
@@ -393,7 +438,7 @@ def load_game(path) -> Game:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past Python's digit limit
             raise InputError(f"could not parse game file: {exc}") from exc
     return game_from_dict(data)
 

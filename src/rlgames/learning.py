@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .game import Game, _payoff_vectors_unchecked, check_profile
-from .regularizers import Kernel, _choice_blocks, _Layout, _layout
+from .game import Game, _flat, _layout, _payoff_vectors_unchecked, check_profile
+from .regularizers import Kernel, _choice_blocks
 from .trajectory import Trajectory
 
 _INIT_STREAM = 0xFFFFFFFF  # reserved substream for initial-score perturbation
@@ -154,14 +154,9 @@ def perturbation_stream(seed: int) -> np.random.Generator:
 #
 # Each block takes one profile, or R profiles at once as per-player (R, m_i)
 # rows, and validates what it is given. Its unchecked core acts on flat
-# (R, D) rows, player-major like the recorded x and vhat rows, with one
-# numpy call per block of consecutive equal-size players (see _Layout); the
+# (R, D) rows, player-major like the recorded x and vhat rows (game._layout),
+# with one numpy call per block of consecutive equal-size players; the
 # lockstep engine below calls the cores on the flat state it built itself.
-
-
-def _flat(profile) -> tuple[np.ndarray, _Layout]:
-    xs = [np.asarray(x, dtype=float) for x in profile]
-    return np.concatenate(xs, axis=-1), _layout(tuple(x.shape[-1] for x in xs))
 
 
 def explored_profile(profile, delta) -> list[np.ndarray]:
@@ -254,7 +249,7 @@ def _iwe_unchecked(payoffs, offsets, xhat, acts, out) -> np.ndarray:
 class _Runs:
     """R runs of one template stepped together. `scores`, `current` and
     `previous` are flat (R, D) arrays laid out like the recorded x and vhat
-    rows (see ``regularizers._Layout``); a player's (R, m_i) rows are views
+    rows (see ``game._layout``); a player's (R, m_i) rows are views
     into them."""
 
     seeds: tuple[int, ...]
@@ -268,17 +263,16 @@ class _Runs:
 def _initial_scores(game: Game, y0) -> np.ndarray:
     """One start's scores as a flat (D,) vector."""
     if y0 is None:
-        return np.zeros(sum(game.n_actions))
+        return np.zeros(_layout(game.n_actions).dim)
     if len(y0) != game.n_players:
         raise InputError("initial scores need one vector per player")
-    scores = [np.asarray(v, dtype=float) for v in y0]
-    for i, v in enumerate(scores):
-        if v.shape != (game.n_actions[i],):
+    for i, v in enumerate(y0):
+        if np.shape(v) != (game.n_actions[i],):
             raise InputError(
-                f"initial scores for player {i} have shape {v.shape}, "
+                f"initial scores for player {i} have shape {np.shape(v)}, "
                 f"expected ({game.n_actions[i]},)"
             )
-    flat = np.concatenate(scores)
+    flat, _ = _flat(y0)
     if not np.isfinite(flat).all():
         raise InputError("initial scores contain NaN or Inf")
     return flat
@@ -468,13 +462,14 @@ def run_many(
         raise InputError("at least one start is required")
     seeds = tuple(int(seed) for seed, _ in starts)
     y0s = [_initial_scores(game, y0) for _, y0 in starts]
+    layout = _layout(game.n_actions)
     scores = np.stack(y0s)
-    current = _choice_blocks(kernel, scores, _layout(game.n_actions).blocks)
+    current = _choice_blocks(kernel, scores, layout.blocks)
     runs = _Runs(seeds=seeds, payoffs=np.stack(game.payoffs),
                  scores=scores, current=current, previous=current)
     R = len(seeds)
     N = game.n_players
-    D = sum(game.n_actions)
+    D = layout.dim
     T = int(horizon)
 
     uniforms = deltas = None

@@ -17,13 +17,12 @@ non-steep ones return exact zeros.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericError
+from .game import _flat
 
 _NEWTON_ITERS = 200
 _CLOSE_TOL = 1e-13  # a power-kernel row freezes once |sum x - 1| is this small
@@ -233,36 +232,6 @@ def _power_choice(kernel: Kernel, batch):
     return x / s[:, None]
 
 
-class _Layout:
-    """The columns of flat (R, D) rows that hold one vector per player, side
-    by side: player i owns ``cols[i]``, which starts at ``offsets[i]``, and
-    ``m_col`` holds each column's own m_i as a float. ``blocks`` lists
-    (players, columns, m) for each run of consecutive players with equal
-    action counts m; its columns view as (R, n_b, m)."""
-
-    def __init__(self, sizes):
-        sizes = [int(m) for m in sizes]
-        self.offsets = np.cumsum([0] + sizes[:-1])
-        self.cols = tuple(slice(a, a + m) for a, m in zip(self.offsets.tolist(), sizes))
-        self.m_col = np.repeat(np.asarray(sizes, dtype=float), sizes)
-        self.offsets.flags.writeable = self.m_col.flags.writeable = False
-        blocks, p = [], 0
-        for m, run in itertools.groupby(sizes):
-            n = len(list(run))
-            cols = slice(self.cols[p].start, self.cols[p + n - 1].stop)
-            blocks.append((slice(p, p + n), cols, m))
-            p += n
-        self.blocks = tuple(blocks)
-
-    def split(self, flat) -> list[np.ndarray]:
-        """Per-player views (..., m_i) of flat (..., D) rows."""
-        return [flat[..., c] for c in self.cols]
-
-
-# one shared, read-only layout per tuple of action counts
-_layout = functools.lru_cache(maxsize=256)(_Layout)
-
-
 def _choice_blocks(kernel: Kernel, flat, blocks) -> np.ndarray:
     """The choice map of every player in flat (R, D) score rows, one call
     of the unchecked core per block, on its (R * n_b, m) rows."""
@@ -284,8 +253,7 @@ def choice_map_profile(kernel: Kernel, scores) -> list[np.ndarray]:
     arrs = [_check_scores(s)[0] for s in scores]
     if len({a.shape[:-1] for a in arrs}) > 1:
         raise InputError("every player needs the same number of score rows")
-    layout = _layout(tuple(a.shape[-1] for a in arrs))
-    flat = np.concatenate([np.atleast_2d(a) for a in arrs], axis=1)
+    flat, layout = _flat(np.atleast_2d(a) for a in arrs)
     out = layout.split(_choice_blocks(kernel, flat, layout.blocks))
     return [x.reshape(a.shape) for x, a in zip(out, arrs)]
 

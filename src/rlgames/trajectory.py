@@ -1,6 +1,7 @@
 """Time-indexed run records and their CSV interchange format.
 
-A Trajectory holds a run step by step: played profiles, surrogate gain
+A Trajectory holds a run step by step as flat (T, D) rows, player-major
+in the layout ``game._layout`` owns: played profiles, surrogate gain
 vectors and sampled actions are stored; scores, the bias/noise split of
 the gains and the per-player instantaneous regret summands are derived
 from them on first read and then cached, so a caller pays only for the
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .faces import Face
+from .faces import Face, _outside_mass
+from .game import _layout
 
 _FMT = "%.17g"
 _CSV_ROWS = 16  # rows per block: larger blocks leave freed heap resident
@@ -57,14 +59,7 @@ class Trajectory:
     vhat: np.ndarray  # (T, D) surrogate gains
     realized: np.ndarray  # (T, N) sampled actions, -1 when not sampled
     derive: Callable | None = field(default=None, repr=False)
-    offsets: tuple[int, ...] = field(init=False)
     _derived: dict = field(init=False, default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        offs = [0]
-        for m in self.n_actions:
-            offs.append(offs[-1] + int(m))
-        self.offsets = tuple(offs)
 
     def _read(self, name: str) -> np.ndarray:
         if name not in self._derived:
@@ -84,7 +79,7 @@ class Trajectory:
 
     @property
     def dim(self) -> int:
-        return self.offsets[-1]
+        return _layout(self.n_actions).dim
 
     @property
     def horizon(self) -> int:
@@ -93,30 +88,16 @@ class Trajectory:
     def player_slice(self, i: int) -> slice:
         if not 0 <= i < self.n_players:
             raise InputError(f"player index {i} out of range")
-        return slice(self.offsets[i], self.offsets[i + 1])
+        return _layout(self.n_actions).cols[i]
 
     def profile_at(self, k: int) -> list[np.ndarray]:
-        row = self.x[k]
-        return [row[self.player_slice(i)].copy() for i in range(self.n_players)]
-
-    def final_profile(self) -> list[np.ndarray]:
-        return self.profile_at(-1)
+        return [x.copy() for x in _layout(self.n_actions).split(self.x[k])]
 
 
 def face_distances(traj: Trajectory, face: Face) -> np.ndarray:
-    """Outside-support mass of every recorded profile, as a (T,) series."""
-    if face.n_players != traj.n_players:
-        raise InputError("face and trajectory disagree on the number of players")
-    cols = []
-    for i, sub in enumerate(face.supports):
-        if sub[-1] >= traj.n_actions[i]:
-            raise InputError(f"face support for player {i} is out of range")
-        s = traj.player_slice(i)
-        outside = [s.start + a for a in range(traj.n_actions[i]) if a not in sub]
-        cols.extend(outside)
-    if not cols:
-        return np.zeros(traj.horizon)
-    return traj.x[:, cols].sum(axis=1)
+    """Outside-support mass of every recorded profile, as a (T,) series;
+    entry k is ``distance_to_face`` of ``traj.profile_at(k)``, bit for bit."""
+    return _outside_mass(traj.n_actions, face, traj.x)
 
 
 def csv_header(traj: Trajectory, n_faces: int = 0) -> list[str]:

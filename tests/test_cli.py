@@ -3,11 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from rlgames import builtin_game, list_builtin, minimal_clubs, save_game
+from rlgames import (
+    builtin_game,
+    list_builtin,
+    minimal_clubs,
+    read_trajectory_csv,
+    save_game,
+)
 from rlgames.cli import analyze_game, main
 from rlgames.experiments import _face_key
 from rlgames.game import make_game
 import rlgames.verify as verify
+
+
+BANDIT = {"feedback": "bandit", "exploration": {"base": 0.1, "exponent": 0.15}}
+HUGE = 10**400  # an integer no double holds
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -140,6 +150,73 @@ def test_run_with_bad_config_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def last_csv_distances(path, faces):
+    """The last row's dist_k values of a trajectory CSV, keyed by face."""
+    cols = read_trajectory_csv(path)
+    return {face: float(cols[f"dist_{k}"][-1]) for k, face in enumerate(faces)}
+
+
+def test_run_report_distances_are_the_csv_last_row(tmp_path, capsys):
+    # vz4x4's minimal clubs leave three actions outside per player, so the
+    # distance sums several columns and a different order shows in the bits
+    cfg = write_config(tmp_path, seed=3, **BANDIT)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    want = last_csv_distances(out / "trajectory.csv", report["tracked_faces"])
+    assert report["final_distances"] == want
+
+
+@pytest.mark.parametrize("case,fragment", [
+    ({"init": {"kind": "explicit", "scores": [[0, 0, 0, HUGE], [0, 0, 0, 0]]}},
+     "explicit init score must be finite"),
+    ({"init": {"kind": "grid", "values": [0, HUGE]}},
+     "grid init value must be finite"),
+    ({"init": {"kind": "grid", "radius": HUGE}},
+     "grid init radius must be finite"),
+    ({"step": {"base": HUGE}}, "step base must be finite"),
+    ({"feedback": {"kind": "clairvoyant", "tol": HUGE}},
+     "clairvoyant tol must be finite"),
+])
+def test_malformed_config_numbers_exit_2_with_a_json_error(tmp_path, capsys, case, fragment):
+    cfg = write_config(tmp_path, **case)
+    assert main(["batch", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert fragment in err["message"]
+
+
+def test_numbers_past_the_integer_digit_limit_exit_2(tmp_path, capsys):
+    # Python's json refuses integers of more than 4300 digits with a
+    # ValueError of its own, not a JSONDecodeError
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"game": "vz4x4", "kernel": "logit", "horizon": 5, "seed": '
+                   + "9" * 5000 + "}")
+    assert main(["run", str(cfg)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    game = tmp_path / "game.json"
+    game.write_text('{"players": 1, "actions": [1], "payoffs": [[' + "9" * 5000 + "]]}")
+    assert main(["analyze", str(game)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("entry,fragment", [
+    ("1.5", "player 1 must be a flat list of 4 finite numbers"),
+    ([1.5], "player 1 must be a flat list of 4 finite numbers"),
+    (True, "player 1 must be a flat list of 4 finite numbers"),
+    (HUGE, "player 1 must be a flat list of 4 finite numbers"),
+], ids=["string", "nested-list", "bool", "huge-integer"])
+def test_malformed_game_payoffs_exit_2_with_a_json_error(tmp_path, capsys, entry, fragment):
+    doc = {"players": 2, "actions": [2, 2],
+           "payoffs": [[1, 0, 0, 1], [0, 1, 1, entry]]}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError"
+    assert fragment in err["message"]
+
+
 def test_run_with_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "OSError"
@@ -188,6 +265,20 @@ def test_batch_covers_the_grid(tmp_path, capsys):
     assert len(set(seeds)) == 4
     assert [r["run"] for r in aggregate["per_run"]] == [0, 1, 2, 3]
     assert 0.0 <= aggregate["convergence_fraction"] <= 1.0
+
+
+def test_batch_aggregate_distances_are_the_csv_last_rows(tmp_path, capsys):
+    # the c08 bandit grid, short: 27 vz4x4 runs, each distance a sum of
+    # several outside columns
+    cfg = write_config(tmp_path, init={"kind": "grid"}, **BANDIT)
+    out = tmp_path / "out"
+    assert main(["batch", str(cfg), "-o", str(out)]) == 0
+    aggregate = json.loads(capsys.readouterr().out)
+    assert aggregate["runs"] == 27
+    for entry in aggregate["per_run"]:
+        path = out / f"run_{entry['run']:03d}.csv"
+        want = last_csv_distances(path, aggregate["tracked_faces"])
+        assert entry["final_distances"] == want, path.name
 
 
 # ---------------------------------------------------------------------------

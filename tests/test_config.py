@@ -135,6 +135,22 @@ def test_config_from_json_file(tmp_path):
     (minimal(faces=[[[0], []]]), "nonempty lists of action indices"),
     (minimal(faces=[[[0], [0.5]]]), "nonempty lists of action indices"),
     (minimal(output=7), "output must be a directory path string"),
+    # numbers too large for a double, and non-numbers, name their field
+    (minimal(step={"base": 0.2, "exponent": 10**400}), "step exponent must be finite"),
+    (minimal(step={"base": 0.2, "exponent": "1"}), "step exponent must be a number"),
+    (minimal(feedback="bandit", exploration={"base": 10**400}),
+     "exploration base must be finite"),
+    (minimal(feedback={"kind": "clairvoyant", "tol": "small"}),
+     "clairvoyant tol must be a number"),
+    (minimal(init={"kind": "explicit", "scores": [[0.0, "1"]]}),
+     "explicit init score must be a number"),
+    (minimal(init={"kind": "explicit", "scores": [[-10**400]]}),
+     "explicit init score must be finite"),
+    (minimal(init={"kind": "grid", "values": [0.0, None]}),
+     "grid init value must be a number"),
+    (minimal(init={"kind": "grid", "values": [10**400]}), "grid init value must be finite"),
+    (minimal(init={"kind": "grid", "radius": True}), "grid init radius must be a number"),
+    (minimal(init={"kind": "grid", "radius": 10**400}), "grid init radius must be finite"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

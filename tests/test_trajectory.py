@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rlgames import (
     kernel_from_name,
     read_trajectory_csv,
     minimal_clubs,
+    random_game,
     run,
     singleton_face,
     write_trajectory_csv,
@@ -45,7 +47,7 @@ def test_trajectory_layout(traj):
     assert traj.n_players == 2
     assert traj.dim == 8
     assert traj.horizon == 80
-    assert traj.offsets == (0, 4, 8)
+    assert traj.player_slice(0) == slice(0, 4)
     assert traj.player_slice(1) == slice(4, 8)
     with pytest.raises(InputError):
         traj.player_slice(2)
@@ -55,20 +57,37 @@ def test_profile_views_match_rows(traj):
     prof = traj.profile_at(10)
     assert np.array_equal(prof[0], traj.x[10, :4])
     assert np.array_equal(prof[1], traj.x[10, 4:])
-    last = traj.final_profile()
+    last = traj.profile_at(-1)
     assert np.array_equal(last[0], traj.x[-1, :4])
     prof[0][0] = 77.0  # views are copies
     assert traj.x[10, 0] != 77.0
 
 
+def every_face(n_actions):
+    """The whole face lattice: every product of nonempty supports."""
+    supports = [
+        [s for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
+        for m in n_actions
+    ]
+    return [face_from_lists(c) for c in itertools.product(*supports)]
+
+
 def test_face_distances_agree_with_pointwise_distance(vz, traj):
-    face = face_from_lists([[0, 2], [0, 2]])
-    series = face_distances(traj, face)
-    assert series.shape == (traj.horizon,)
-    for k in (0, 7, 79):
-        want = distance_to_face(vz, traj.profile_at(k), face)
-        assert series[k] == pytest.approx(want, abs=1e-12)
-    assert np.all(face_distances(traj, full_face(vz)) == 0.0)
+    # every face of the vz4x4 lattice, and of a seeded 2x3x2 game under
+    # bandit feedback, at every step: the two must be the same bits
+    mixed = random_game(np.random.default_rng(23), (2, 3, 2))
+    mixed_traj = run(mixed, LOGIT, Bandit(exploration=Schedule(0.1, 0.15)),
+                     Schedule(0.2, 0.5), 80, seed=5)
+    for game, tr in ((vz, traj), (mixed, mixed_traj)):
+        faces = every_face(game.n_actions)
+        assert len(faces) == np.prod([2**m - 1 for m in game.n_actions])
+        for face in faces:
+            series = face_distances(tr, face)
+            assert series.shape == (tr.horizon,)
+            want = [distance_to_face(game, tr.profile_at(k), face)
+                    for k in range(tr.horizon)]
+            assert series.tolist() == want
+        assert np.all(face_distances(tr, full_face(game)) == 0.0)
 
 
 def test_face_distances_validation(traj):
