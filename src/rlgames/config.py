@@ -10,26 +10,20 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .game import Game
-from .learning import (
-    Bandit,
-    Clairvoyant,
-    FeedbackKind,
-    Full,
-    MirrorProx,
-    Optimistic,
-    Schedule,
-)
+from .learning import Bandit, Clairvoyant, FeedbackKind, Full, Schedule
 from .regularizers import kernel_from_name
 
 AUTO_FACES = "auto:minimal_clubs"
 
-_FEEDBACK_KINDS = ("full", "optimistic", "mirror_prox", "clairvoyant", "bandit")
+# each feedback class by the label it carries, in the order FeedbackKind lists them
+_FEEDBACK_KINDS = {cls.label: cls for cls in typing.get_args(FeedbackKind)}
 
 
 @dataclass(frozen=True)
@@ -164,20 +158,17 @@ def _feedback_from(data: dict) -> FeedbackKind:
     if not isinstance(spec, dict):
         raise ConfigError("config field 'feedback' must be a kind name or object")
     kind = spec.get("kind")
-    if kind not in _FEEDBACK_KINDS:
+    if not isinstance(kind, str) or kind not in _FEEDBACK_KINDS:
         raise ConfigError(
             f"feedback kind must be one of {list(_FEEDBACK_KINDS)}, got {kind!r}"
         )
     extra = set(spec) - {"kind", "tol", "max_iters"}
     if kind != "clairvoyant" and set(spec) - {"kind"}:
         raise ConfigError(f"feedback kind {kind!r} takes no extra fields")
-    if kind == "full":
-        return Full()
-    if kind == "optimistic":
-        return Optimistic()
-    if kind == "mirror_prox":
-        return MirrorProx()
-    if kind == "clairvoyant":
+    cls = _FEEDBACK_KINDS[kind]
+    if not fields(cls):
+        return cls()
+    if cls is Clairvoyant:
         if extra:
             raise ConfigError(f"clairvoyant feedback has unknown fields {sorted(extra)}")
         tol = _finite_number(spec.get("tol", 1e-10), "clairvoyant tol")

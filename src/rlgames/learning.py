@@ -9,14 +9,15 @@ with the feedback kind deciding how vhat_n is produced from the current
 play. Each vhat splits as vhat = v(x_n) + bias + noise, and both parts are
 recorded so tests can check the advertised envelopes directly.
 
-One engine steps R runs in lockstep. Its scores and strategies are flat
-(R, D) arrays laid out like the recorded x and vhat rows, each player's
-(R, m_i) columns a view into them; consecutive players with equal action
-counts form a block, viewed as (R, n_b, m_b), and each step makes one
-numpy call per block and operation. Every operation treats a row the
-same whatever other rows share the batch, so run r of a batch is bit for
-bit the single run from the same seed and start. :func:`run` is the
-one-run case.
+One engine steps R runs in lockstep. Its only state is the flat (R, D)
+scores; the current play x_n = Q(y_n) is written straight into the
+record, laid out like the recorded x and vhat rows, and a step that needs
+an earlier play reads it back from there. Each player's (R, m_i) columns
+are a view into those rows; consecutive players with equal action counts
+form a block, viewed as (R, n_b, m_b), and each step makes one numpy call
+per block and operation. Every operation treats a row the same whatever
+other rows share the batch, so run r of a batch is bit for bit the single
+run from the same seed and start. :func:`run` is the one-run case.
 
 The step loop computes and records only what the recursion needs: x,
 vhat and, under bandit feedback, the realized actions. Scores, bias,
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, ResourceLimitError
 from .game import Game, _flat, _layout, _payoff_vectors_unchecked, check_profile
 from .regularizers import Kernel, _choice_blocks
 from .trajectory import Trajectory
@@ -152,25 +153,15 @@ def perturbation_stream(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # bandit building blocks
 #
-# Each block takes one profile, or R profiles at once as per-player (R, m_i)
-# rows, and validates what it is given. Its unchecked core acts on flat
-# (R, D) rows, player-major like the recorded x and vhat rows (game._layout),
-# with one numpy call per block of consecutive equal-size players; the
-# lockstep engine below calls the cores on the flat state it built itself.
-
-
-def explored_profile(profile, delta) -> list[np.ndarray]:
-    """Mix each strategy with the uniform one: (1-delta) x + delta/m.
-
-    `delta` is one weight, or an (R, 1) column of weights, one per row.
-    """
-    if not np.all((0.0 < delta) & (delta <= 1.0)):
-        raise InputError("exploration weight must lie in (0, 1]")
-    x, layout = _flat(profile)
-    return layout.split(_explored_unchecked(x, delta, layout.m_col))
+# The public blocks take one profile, or R profiles at once as per-player
+# (R, m_i) rows, and validate what they are given. Their unchecked cores act
+# on flat (R, D) rows, player-major like the recorded x and vhat rows
+# (game._layout), with one numpy call per block of consecutive equal-size
+# players; the lockstep engine below calls the cores on the rows it built.
 
 
 def _explored_unchecked(x, delta, m_col) -> np.ndarray:
+    """Mix each strategy with the uniform one: (1 - delta) x + delta / m."""
     return (1.0 - delta) * x + delta / m_col
 
 
@@ -245,21 +236,6 @@ def _iwe_unchecked(payoffs, offsets, xhat, acts, out) -> np.ndarray:
 # the lockstep engine
 
 
-@dataclass
-class _Runs:
-    """R runs of one template stepped together. `scores`, `current` and
-    `previous` are flat (R, D) arrays laid out like the recorded x and vhat
-    rows (see ``game._layout``); a player's (R, m_i) rows are views
-    into them."""
-
-    seeds: tuple[int, ...]
-    payoffs: np.ndarray  # the stacked payoff tensors, for the estimate
-    scores: np.ndarray
-    current: np.ndarray
-    previous: np.ndarray
-    step_index: int = 1
-
-
 def _initial_scores(game: Game, y0) -> np.ndarray:
     """One start's scores as a flat (D,) vector."""
     if y0 is None:
@@ -282,47 +258,6 @@ def _field(game: Game, x, out=None) -> np.ndarray:
     """The payoff operator v(x) on flat (R, D) rows, as flat rows."""
     xs = _layout(game.n_actions).split(x)
     return np.concatenate(_payoff_vectors_unchecked(game, xs), axis=1, out=out)
-
-
-def _advance(runs: _Runs, game, kernel, feedback, gamma, delta, uniforms, vhat, realized):
-    """Advance every run by one template step of size `gamma`.
-
-    Computes only what the next scores depend on, and writes the (R, D)
-    rows of vhat into `vhat` and, under bandit feedback, the (R, N)
-    realized actions into `realized`. `delta` and `uniforms` (the (R, N)
-    table row of draws for this step) feed bandit sampling; all three are
-    None for the other feedback kinds. The trajectory derives the rest of
-    the record when it is read (:class:`_Derivation`).
-    """
-    layout = _layout(game.n_actions)
-    x = runs.current
-    if isinstance(feedback, Bandit):
-        xhat = _explored_unchecked(x, delta, layout.m_col)
-        _sample_actions_unchecked(xhat, uniforms, layout.blocks, realized)
-        _iwe_unchecked(runs.payoffs, layout.offsets, xhat, realized, vhat)
-    elif isinstance(feedback, Full):
-        _field(game, x, vhat)
-    elif isinstance(feedback, Optimistic):
-        # previous is x_1 at n = 1, so the first step is plain
-        np.subtract(2.0 * _field(game, x), _field(game, runs.previous), out=vhat)
-    elif isinstance(feedback, MirrorProx):
-        x_half = _choice_blocks(kernel, runs.scores + gamma * _field(game, x), layout.blocks)
-        _field(game, x_half, vhat)
-    elif isinstance(feedback, Clairvoyant):
-        _field(game, _clairvoyant_point(runs, game, kernel, feedback, gamma), vhat)
-    else:
-        raise InputError(f"unknown feedback kind {feedback!r}")
-
-    runs.scores += gamma * vhat
-    if not np.isfinite(runs.scores).all():
-        r = int(np.flatnonzero(~np.isfinite(runs.scores).all(axis=1))[0])
-        raise InputError(
-            f"scores overflowed to NaN or Inf at step {runs.step_index} "
-            f"in run {r} (seed {runs.seeds[r]})"
-        )
-    runs.previous = x
-    runs.current = _choice_blocks(kernel, runs.scores, layout.blocks)
-    runs.step_index += 1
 
 
 def _summands(game, feedback, x, vhat, deltas, v_before):
@@ -399,15 +334,16 @@ class _Derivation:
         return {"bias": bias, "noise": noise, "gaps": gaps}
 
 
-def _clairvoyant_point(runs: _Runs, game, kernel, feedback, gamma):
-    """Damped Picard iteration per row; a row stops once its own residual
-    closes, so it takes the same iterates as it would alone."""
+def _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma):
+    """Damped Picard iteration per row from the current play `x`; a row
+    stops once its own residual closes, so it takes the same iterates as
+    it would alone."""
     layout = _layout(game.n_actions)
-    x = runs.current.copy()
-    active = np.arange(len(runs.seeds))
+    x = x.copy()
+    active = np.arange(len(seeds))
     for _ in range(feedback.max_iters):
         xa = x[active]
-        target = _choice_blocks(kernel, runs.scores[active] + gamma * _field(game, xa),
+        target = _choice_blocks(kernel, scores[active] + gamma * _field(game, xa),
                                 layout.blocks)
         # damped Picard update, relaxation 1/2
         x_new = 0.5 * xa + 0.5 * target
@@ -426,7 +362,7 @@ def _clairvoyant_point(runs: _Runs, game, kernel, feedback, gamma):
     raise NumericError(
         f"clairvoyant fixed point stalled at residual {resid[0]:.3e} "
         f"after {feedback.max_iters} iterations in run {run_index} "
-        f"(seed {runs.seeds[run_index]})"
+        f"(seed {seeds[run_index]})"
     )
 
 
@@ -440,60 +376,87 @@ def run_many(
 ) -> list[Trajectory]:
     """Run the template from every (seed, y0) start at once, in lockstep.
 
-    All runs advance together as one array program on flat (R, D) state,
+    All runs advance together as one array program on flat (R, D) scores,
     with one numpy call per block of consecutive equal-size players.
     Trajectory r is bit for bit what ``run(..., y0=y0_r, seed=seed_r)``
     records: every row gets the same arithmetic whatever other rows share
     the batch, and each run draws from its own (seed, player) Philox
     streams.
 
-    The step loop stores x, vhat and the realized actions; each
+    Each step computes only what the next scores depend on and stores x,
+    vhat and, under bandit feedback, the realized actions; each
     trajectory derives its scores, bias, noise and regret summands from
     those rows when it first reads them (see :class:`_Derivation`). The
     runs of a batch share one read-only array each for n, gamma and tau,
     and runs that never sample share one read-only block of -1 for their
     realized actions. Scores that overflow raise :class:`InputError`
-    naming the step, the run and its seed.
+    naming the step, the run and its seed; a record too large to allocate
+    raises :class:`ResourceLimitError`.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise InputError("horizon must be a positive integer")
+    if not isinstance(feedback, FeedbackKind):
+        raise InputError(f"unknown feedback kind {feedback!r}")
     starts = list(starts)
     if not starts:
         raise InputError("at least one start is required")
     seeds = tuple(int(seed) for seed, _ in starts)
     y0s = [_initial_scores(game, y0) for _, y0 in starts]
     layout = _layout(game.n_actions)
+    R, N, D, T = len(seeds), game.n_players, layout.dim, int(horizon)
+    bandit = isinstance(feedback, Bandit)
+    try:
+        if bandit:
+            uniforms = np.stack([uniform_table(s, N, T) for s in seeds], axis=1)
+            deltas = np.empty(T)
+            out_real = np.empty((R, T, N), dtype=np.int64)
+        else:
+            deltas = out_real = None
+        out_gamma = np.empty(T)
+        out_tau = np.empty(T)
+        out_x = np.empty((R, T, D))
+        out_vhat = np.empty((R, T, D))
+    except (ValueError, MemoryError) as exc:
+        raise ResourceLimitError(
+            f"cannot allocate the record of R = {R} runs, T = {T} steps and "
+            f"D = {D} coordinates: {exc}"
+        ) from None
+
+    payoffs = np.stack(game.payoffs)  # for the estimate
     scores = np.stack(y0s)
-    current = _choice_blocks(kernel, scores, layout.blocks)
-    runs = _Runs(seeds=seeds, payoffs=np.stack(game.payoffs),
-                 scores=scores, current=current, previous=current)
-    R = len(seeds)
-    N = game.n_players
-    D = layout.dim
-    T = int(horizon)
-
-    uniforms = deltas = None
-    if isinstance(feedback, Bandit):
-        uniforms = np.stack([uniform_table(s, N, T) for s in seeds], axis=1)
-        deltas = np.empty(T)
-
-    out_gamma = np.empty(T)
-    out_tau = np.empty(T)
-    out_x = np.empty((R, T, D))
-    out_vhat = np.empty((R, T, D))
-    out_real = None if uniforms is None else np.empty((R, T, N), dtype=np.int64)
-
+    x = _choice_blocks(kernel, scores, layout.blocks)
     tau = 0.0
     comp = 0.0  # Kahan correction so tau stays exact over long runs
     for k in range(T):
         gamma = step_schedule.value(k + 1)
-        delta = draws = realized = None
-        if deltas is not None:
+        out_x[:, k] = x
+        vhat = out_vhat[:, k]
+        if bandit:
             delta = deltas[k] = feedback.exploration.value(k + 1)
-            draws = uniforms[k]
-            realized = out_real[:, k]
-        out_x[:, k] = runs.current
-        _advance(runs, game, kernel, feedback, gamma, delta, draws, out_vhat[:, k], realized)
+            xhat = _explored_unchecked(x, delta, layout.m_col)
+            _sample_actions_unchecked(xhat, uniforms[k], layout.blocks, out_real[:, k])
+            _iwe_unchecked(payoffs, layout.offsets, xhat, out_real[:, k], vhat)
+        elif isinstance(feedback, Full):
+            _field(game, x, vhat)
+        elif isinstance(feedback, Optimistic):
+            # the previous play is the record's row k - 1, and x_1 itself at
+            # step 1, so the first step is plain
+            np.subtract(2.0 * _field(game, x), _field(game, out_x[:, max(k - 1, 0)]),
+                        out=vhat)
+        elif isinstance(feedback, MirrorProx):
+            x_half = _choice_blocks(kernel, scores + gamma * _field(game, x), layout.blocks)
+            _field(game, x_half, vhat)
+        else:
+            x_plus = _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma)
+            _field(game, x_plus, vhat)
+        scores += gamma * vhat
+        if not np.isfinite(scores).all():
+            r = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
+            raise InputError(
+                f"scores overflowed to NaN or Inf at step {k + 1} "
+                f"in run {r} (seed {seeds[r]})"
+            )
+        x = _choice_blocks(kernel, scores, layout.blocks)
         yv = gamma - comp
         t = tau + yv
         comp = (t - tau) - yv

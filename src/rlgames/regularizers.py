@@ -7,8 +7,9 @@ the simplex. Three families are supported:
 * quadratic  theta(z) = z^2 / 2       (exact sparse Euclidean projection)
 * entropic   theta(z) = z log z       (closed-form logit map)
 * power      theta(z) = z^rho / (rho (rho - 1)),  rho in (0,1) or (1,2]
-             (plain Newton steps on the dual variable, rising from the
-              point where the largest coordinate alone reaches 1)
+             (plain Newton steps on the dual variable of y - max y,
+              rising from the point where the largest coordinate alone
+              reaches 1)
 
 All maps accept a single score vector or a 2-D batch of rows. Steep
 kernels (theta'(0+) = -inf) keep every coordinate strictly positive;
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .game import _flat
 
 _NEWTON_ITERS = 200
 _CLOSE_TOL = 1e-13  # a power-kernel row freezes once |sum x - 1| is this small
@@ -182,13 +182,16 @@ def _power_choice(kernel: Kernel, batch):
     g is theta_prime_inv clipped to the kernel's domain, so each term is
     convex and nonincreasing in mu: a negative power of a positive linear
     function when rho < 1, the positive part of a linear function raised
-    to 1/(rho - 1) >= 1 when rho > 1. Newton starts at the root's lower
-    bound lo = max y - theta'(1), where the largest coordinate alone
-    reaches 1, so f(lo) >= 1. Below the root, the tangent of a convex
-    decreasing f lies under f and meets 1 no further right than the root,
-    so the iterates rise monotonically to it and f' < 0 on every one of
-    them. A row is frozen once its own residual closes, so it maps to the
-    same bits whatever other rows share the batch.
+    to 1/(rho - 1) >= 1 when rho > 1. The map is shift-invariant, so each
+    row is solved as y - max y: mu then stays near -theta'(1) whatever
+    the scores' level, where doubles are fine enough to close the
+    residual. Newton starts at the root's lower bound lo = -theta'(1),
+    where the largest coordinate alone reaches 1, so f(lo) >= 1. Below
+    the root, the tangent of a convex decreasing f lies under f and meets
+    1 no further right than the root, so the iterates rise monotonically
+    to it and f' < 0 on every one of them. A row is frozen once its own
+    residual closes, so it maps to the same bits whatever other rows
+    share the batch.
     """
     m = batch.shape[1]
     if m == 1:
@@ -197,7 +200,8 @@ def _power_choice(kernel: Kernel, batch):
     scale = rho - 1.0
     inv_exp = 1.0 / scale
     steep = kernel.steep
-    mu = batch.max(axis=1) - kernel.theta_prime_at_one()
+    batch = batch - batch.max(axis=1, keepdims=True)
+    mu = np.full(len(batch), -kernel.theta_prime_at_one())
 
     def eval_at(mu):
         w = batch - mu[:, None]
@@ -240,22 +244,6 @@ def _choice_blocks(kernel: Kernel, flat, blocks) -> np.ndarray:
         for _, cols, m in blocks
     ]
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
-def choice_map_profile(kernel: Kernel, scores) -> list[np.ndarray]:
-    """Apply the choice map to one score vector per player.
-
-    An entry may also be a stack of R score rows (R, m_i), one per run; the
-    strategies then come back with the same shapes. Consecutive players
-    with equal action counts are mapped in a single call, which matters
-    inside simulation loops.
-    """
-    arrs = [_check_scores(s)[0] for s in scores]
-    if len({a.shape[:-1] for a in arrs}) > 1:
-        raise InputError("every player needs the same number of score rows")
-    flat, layout = _flat(np.atleast_2d(a) for a in arrs)
-    out = layout.split(_choice_blocks(kernel, flat, layout.blocks))
-    return [x.reshape(a.shape) for x, a in zip(out, arrs)]
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,17 @@ def test_run_with_missing_config_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "OSError"
 
 
+@pytest.mark.parametrize("feedback", [{}, BANDIT], ids=["full", "bandit"])
+def test_a_horizon_past_any_allocation_exits_2(tmp_path, capsys, feedback):
+    # no machine holds 10**30 steps; the record's shape is refused before
+    # any step runs
+    cfg = write_config(tmp_path, horizon=10**30, **feedback)
+    assert main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ResourceLimitError"
+    assert "R = 1 runs, T = 10" in err["message"] and "D = 8 coordinates" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # batch
 

@@ -15,9 +15,8 @@ from rlgames import (
     Optimistic,
     Schedule,
     builtin_game,
-    choice_map_profile,
+    choice_map,
     derive_run_seed,
-    explored_profile,
     iwe,
     kernel_from_name,
     lipschitz_estimate,
@@ -57,6 +56,16 @@ MIXED = {"mixed_2x3": seeded_game((2, 3), 23), "mixed_3x2x2": seeded_game((3, 2,
 
 def game_named(name):
     return MIXED[name] if name in MIXED else builtin_game(name)
+
+
+def logit_profile(scores):
+    """Independent reference: the choice map of each player on its own."""
+    return [choice_map(LOGIT, y) for y in scores]
+
+
+def explored(profile, delta):
+    """Independent reference: each strategy mixed toward the uniform one."""
+    return [(1 - delta) * x + delta / len(x) for x in profile]
 
 
 # ---------------------------------------------------------------------------
@@ -121,25 +130,6 @@ def test_derive_run_seed_is_stable_and_spread():
 
 # ---------------------------------------------------------------------------
 # bandit building blocks
-
-
-def test_explored_profile_mixes_toward_uniform():
-    x = [np.array([1.0, 0.0]), np.array([0.25, 0.25, 0.5])]
-    out = explored_profile(x, 0.2)
-    assert np.allclose(out[0], [0.9, 0.1])
-    assert np.allclose(out[1], 0.8 * x[1] + 0.2 / 3)
-    flat = explored_profile(x, 1.0)
-    assert np.allclose(flat[0], [0.5, 0.5])
-    for bad in (0.0, -0.1, 1.2):
-        with pytest.raises(InputError):
-            explored_profile(x, bad)
-    # a column of weights mixes each row with its own weight
-    rows = [np.stack([xi, xi]) for xi in x]
-    col = explored_profile(rows, np.array([[0.2], [1.0]]))
-    for i in range(2):
-        assert np.array_equal(col[i], np.stack([out[i], flat[i]]))
-    with pytest.raises(InputError):
-        explored_profile(rows, np.array([[0.2], [1.2]]))
 
 
 def test_sample_actions_inverse_cdf():
@@ -237,7 +227,7 @@ def test_run_validates_initial_scores(vz):
 def test_full_step_updates_scores_with_the_true_field(vz):
     y0 = [np.array([0.1, 0.0, -0.1, 0.2])] * 2
     traj = run(vz, LOGIT, Full(), Schedule(0.2, 0.5), 2, y0=y0)
-    x_before = choice_map_profile(LOGIT, y0)
+    x_before = logit_profile(y0)
     v = manual_v(vz, x_before)
 
     assert traj.n[0] == 1 and traj.gamma[0] == 0.2
@@ -250,7 +240,7 @@ def test_full_step_updates_scores_with_the_true_field(vz):
     # y <- y + gamma vhat, x <- Q(y)
     y1 = traj.scores[0] + 0.2 * traj.vhat[0]
     assert np.array_equal(traj.scores[1], y1)
-    want = choice_map_profile(LOGIT, [y1[:4], y1[4:]])
+    want = logit_profile([y1[:4], y1[4:]])
     assert np.array_equal(traj.x[1], np.concatenate(want))
     # gaps replay: best response payoff minus realized mixed payoff
     for gap, g, xi in zip(traj.gaps[0], v, x_before):
@@ -274,7 +264,7 @@ def test_mirror_prox_evaluates_the_half_step(vz):
     y0 = [np.array([0.2, -0.1, 0.0, 0.1])] * 2
     traj = run(vz, LOGIT, MirrorProx(), Schedule(0.3, 0.0), 1, y0=y0)
     v = manual_v(vz, traj.profile_at(0))
-    x_half = choice_map_profile(LOGIT, [y + 0.3 * g for y, g in zip(y0, v)])
+    x_half = logit_profile([y + 0.3 * g for y, g in zip(y0, v)])
     v_half = np.concatenate(manual_v(vz, x_half))
     assert np.allclose(traj.vhat[0], v_half, atol=1e-12)
     assert np.allclose(traj.bias[0], v_half - np.concatenate(v), atol=1e-12)
@@ -312,7 +302,7 @@ def test_bandit_step_decomposition(vz):
     assert all(0 <= a < 4 for a in realized)
 
     # the engine's estimate is the public estimator's, bit for bit
-    xhat = explored_profile(x, 0.1)
+    xhat = explored(x, 0.1)
     assert traj.vhat[0].tobytes() == np.concatenate(iwe(vz, xhat, realized)).tobytes()
     assert np.array_equal(traj.scores[1], traj.scores[0] + 0.2 * traj.vhat[0])
     v_mean = np.concatenate(manual_v(vz, xhat))
@@ -336,16 +326,16 @@ def test_bandit_steps_match_the_public_blocks(game_name):
     y = [np.random.default_rng(3).uniform(-1.0, 1.0, m) for m in game.n_actions]
     traj = run(game, LOGIT, fb, sch, T, y0=y, seed=42)
     table = uniform_table(42, game.n_players, T)
-    x = choice_map_profile(LOGIT, y)
+    x = logit_profile(y)
     for k in range(T):
         assert np.concatenate(x).tobytes() == traj.x[k].tobytes(), k
-        xhat = explored_profile(x, fb.exploration.value(k + 1))
+        xhat = explored(x, fb.exploration.value(k + 1))
         realized = sample_actions(xhat, table[k])
         assert realized == traj.realized[k].tolist(), k
         est = iwe(game, xhat, realized)
         assert np.concatenate(est).tobytes() == traj.vhat[k].tobytes(), k
         y = [yi + sch.value(k + 1) * e for yi, e in zip(y, est)]
-        x = choice_map_profile(LOGIT, y)
+        x = logit_profile(y)
 
 
 def test_bandit_exploration_must_stay_in_range():
@@ -394,7 +384,7 @@ def test_run_state_invariants_hold_rowwise(vz):
     traj = run(vz, LOGIT, MirrorProx(), Schedule(0.2, 0.5), 40)
     for k in range(40):
         ys = [traj.scores[k, :4], traj.scores[k, 4:]]
-        xs = choice_map_profile(LOGIT, ys)
+        xs = logit_profile(ys)
         assert np.allclose(traj.x[k], np.concatenate(xs), atol=1e-12)
         vs = payoff_vectors(vz, [traj.x[k, :4], traj.x[k, 4:]])
         for i, v in enumerate(vs):
@@ -423,7 +413,7 @@ def test_bandit_draws_can_be_spot_checked_at_any_step(vz):
     traj = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 25, seed=5)
     table = uniform_table(5, vz.n_players, 25)
     for k in (0, 1, 3, 4, 11, 24):
-        xhat = explored_profile(traj.profile_at(k), fb.exploration.value(k + 1))
+        xhat = explored(traj.profile_at(k), fb.exploration.value(k + 1))
         assert sample_actions(xhat, table[k]) == traj.realized[k].tolist()
 
 
@@ -533,7 +523,7 @@ def test_derived_record_follows_its_definitions_exactly(vz, label, monkeypatch):
                 bias = traj.vhat[k] - v[k]
             elif label == "bandit":
                 delta = feedback.exploration.value(k + 1)
-                mean = field(explored_profile(traj.profile_at(k), delta))
+                mean = field(explored(traj.profile_at(k), delta))
                 bias = mean - v[k]
                 noise = traj.vhat[k] - mean
             assert traj.bias[k].tobytes() == bias.tobytes(), block
