@@ -11,7 +11,7 @@ recorded so tests can check the advertised envelopes directly.
 
 One engine steps R runs in lockstep. Its only state is the flat (R, D)
 scores; the current play x_n = Q(y_n) is written straight into the
-record, laid out like the recorded x and vhat rows, and a step that needs
+record, laid out like the recorded x rows, and a step that needs
 an earlier play reads it back from there. Each player's (R, m_i) columns
 are a view into those rows; consecutive players with equal action counts
 form a block, viewed as (R, n_b, m_b), and each step makes one numpy call
@@ -19,12 +19,16 @@ per block and operation. Every operation treats a row the same whatever
 other rows share the batch, so run r of a batch is bit for bit the single
 run from the same seed and start. :func:`run` is the one-run case.
 
-The step loop computes and records only what the recursion needs: x,
-vhat and, under bandit feedback, the realized actions. Scores, bias,
-noise and the regret summands are derived from the recorded rows when a
-trajectory first reads them, with the same arithmetic in the same order
-the step would have used, so the record is the same bits either way and
-a caller that never reads them never pays for them.
+The step loop computes only what the recursion needs and records only
+what cannot be recomputed from the play: x, the realized actions under
+bandit feedback, and vhat under mirror-prox and clairvoyant feedback,
+whose half-step or fixed point depends on the scores. Every other vhat is
+a row-wise function of x, the exploration weight and the realized
+actions, so the step computes it into one (R, D) scratch array. Scores,
+that vhat, bias, noise and the regret summands are derived from the
+recorded rows when a trajectory first reads them, with the same
+arithmetic in the same order the step used, so the record is the same
+bits either way and a caller that never reads them never pays for them.
 
 Randomness (bandit sampling only) comes from the counter-based Philox
 generator, keyed per (run seed, player): the draw used by player i at step
@@ -45,7 +49,7 @@ from .regularizers import Kernel, _choice_blocks
 from .trajectory import Trajectory
 
 _INIT_STREAM = 0xFFFFFFFF  # reserved substream for initial-score perturbation
-_DERIVE_ROWS = 1024  # steps per block when deriving bias, noise and gaps
+_DERIVE_ROWS = 1024  # steps per block of uniform draws and of derived rows
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def perturbation_stream(seed: int) -> np.random.Generator:
 #
 # The public blocks take one profile, or R profiles at once as per-player
 # (R, m_i) rows, and validate what they are given. Their unchecked cores act
-# on flat (R, D) rows, player-major like the recorded x and vhat rows
+# on flat (R, D) rows, player-major like the recorded x rows
 # (game._layout), with one numpy call per block of consecutive equal-size
 # players; the lockstep engine below calls the cores on the rows it built.
 
@@ -260,37 +264,45 @@ def _field(game: Game, x, out=None) -> np.ndarray:
     return np.concatenate(_payoff_vectors_unchecked(game, xs), axis=1, out=out)
 
 
-def _summands(game, feedback, x, vhat, deltas, v_before):
-    """Bias, noise and regret summands of consecutive recorded steps.
+def _summands(game, feedback, name, x, acts, vhat, deltas, v_before):
+    """Rows of the derived field `name` for consecutive recorded steps.
 
-    `x` and `vhat` hold flat (B, D) rows of one run, `deltas` the
-    exploration weights of those steps (bandit feedback only), and
-    `v_before` the (1, D) field v(x) of the step before the first row
+    `x` holds flat (B, D) rows of one run; `acts` and `deltas` its
+    realized actions and exploration weights (bandit feedback only),
+    `vhat` its recorded gains (mirror-prox and clairvoyant feedback only),
+    and `v_before` the (1, D) field v(x) of the step before the first row
     (optimistic feedback only; None at step 1, where the previous profile
-    is x_1 itself). Every formula acts row by row, so the rows match what
-    the step loop would have computed in place.
+    is x_1 itself). Every formula acts row by row with the step's own
+    arithmetic, so the rows match what the step loop computed in place.
 
-    Returns the (B, D) rows of v(x), bias and noise (None where the
-    feedback kind makes them zero) and the (B, N) regret summands.
+    Returns the (B, D) rows of v(x) and the rows of `name`: (B, N) for
+    the regret summands ``gaps``, (B, D) for ``vhat``, ``bias`` and
+    ``noise``.
     """
     layout = _layout(game.n_actions)
-    # full feedback uses v(x) itself as its gain vector
-    v = vhat if isinstance(feedback, Full) else _field(game, x)
-    gaps = np.stack(
-        [g.max(axis=1) - (g * xi).sum(axis=1)
-         for g, xi in zip(layout.split(v), layout.split(x))], axis=1
-    )
-    bias = noise = None
-    if isinstance(feedback, Optimistic):
-        bias = v - np.concatenate([v[:1] if v_before is None else v_before, v[:-1]])
-    elif isinstance(feedback, (MirrorProx, Clairvoyant)):
-        bias = vhat - v
-    elif isinstance(feedback, Bandit):
-        # the explored profile, as the step drew it
+    v = _field(game, x)
+    if name == "gaps":
+        return v, np.stack(
+            [g.max(axis=1) - (g * xi).sum(axis=1)
+             for g, xi in zip(layout.split(v), layout.split(x))], axis=1
+        )
+    if isinstance(feedback, Full) and name == "vhat":
+        return v, v
+    if isinstance(feedback, Optimistic) and name != "noise":
+        v_prev = np.concatenate([v[:1] if v_before is None else v_before, v[:-1]])
+        return v, (2.0 * v - v_prev if name == "vhat" else v - v_prev)
+    if isinstance(feedback, Bandit):
+        # the explored profile and the estimate, as the step drew them
         xhat = _explored_unchecked(x, deltas[:, None], layout.m_col)
+        est = _iwe_unchecked(np.stack(game.payoffs), layout.offsets, xhat, acts,
+                             np.empty(x.shape))
+        if name == "vhat":
+            return v, est
         v_mean = _field(game, xhat)
-        bias, noise = v_mean - v, vhat - v_mean
-    return v, bias, noise, gaps
+        return v, (v_mean - v if name == "bias" else est - v_mean)
+    if isinstance(feedback, (MirrorProx, Clairvoyant)) and name == "bias":
+        return v, vhat - v
+    return v, np.zeros(x.shape)
 
 
 @dataclass(frozen=True)
@@ -299,9 +311,10 @@ class _Derivation:
     trajectory of one :func:`run_many` call.
 
     `deltas` holds the exploration weight of every step (bandit feedback
-    only). Scores are derived on their own; bias, noise and gaps come
-    from one pass of :func:`_summands`, in blocks of at most
-    ``_DERIVE_ROWS`` steps.
+    only). Scores are summed from vhat; vhat (where the step did not
+    record it), bias, noise and gaps each come from their own pass of
+    :func:`_summands`, in blocks of at most ``_DERIVE_ROWS`` steps, so a
+    read caches only the field it asks for.
     """
 
     game: Game
@@ -311,27 +324,23 @@ class _Derivation:
     def __call__(self, traj: Trajectory, name: str) -> dict[str, np.ndarray]:
         if name == "scores":
             # y_{k+1} = y_k + gamma_k * vhat_k, summed in the loop's order
-            scores = np.empty(traj.vhat.shape)
+            scores = np.empty(traj.x.shape)
             scores[0] = traj.y0
             np.multiply(traj.gamma[:-1, None], traj.vhat[:-1], out=scores[1:])
             return {"scores": np.cumsum(scores, axis=0, out=scores)}
-        bias = np.zeros(traj.vhat.shape)
-        noise = np.zeros(traj.vhat.shape)
-        gaps = np.empty((traj.horizon, traj.n_players))
+        recorded = traj.vhat if isinstance(self.feedback, (MirrorProx, Clairvoyant)) else None
+        out = np.empty((traj.horizon, traj.n_players) if name == "gaps" else traj.x.shape)
         v_last = None
         for a in range(0, traj.horizon, _DERIVE_ROWS):
             rows = slice(a, a + _DERIVE_ROWS)
-            v, b, nz, gaps[rows] = _summands(
-                self.game, self.feedback, traj.x[rows], traj.vhat[rows],
+            v, out[rows] = _summands(
+                self.game, self.feedback, name, traj.x[rows], traj.realized[rows],
+                None if recorded is None else recorded[rows],
                 None if self.deltas is None else self.deltas[rows],
                 v_last,
             )
-            if b is not None:
-                bias[rows] = b
-            if nz is not None:
-                noise[rows] = nz
             v_last = v[-1:]
-        return {"bias": bias, "noise": noise, "gaps": gaps}
+        return {name: out}
 
 
 def _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma):
@@ -383,15 +392,18 @@ def run_many(
     the batch, and each run draws from its own (seed, player) Philox
     streams.
 
-    Each step computes only what the next scores depend on and stores x,
-    vhat and, under bandit feedback, the realized actions; each
-    trajectory derives its scores, bias, noise and regret summands from
-    those rows when it first reads them (see :class:`_Derivation`). The
-    runs of a batch share one read-only array each for n, gamma and tau,
-    and runs that never sample share one read-only block of -1 for their
-    realized actions. Scores that overflow raise :class:`InputError`
-    naming the step, the run and its seed; a record too large to allocate
-    raises :class:`ResourceLimitError`.
+    Each step computes only what the next scores depend on. It stores x,
+    the realized actions under bandit feedback and vhat under mirror-prox
+    and clairvoyant feedback; the other kinds compute vhat into one (R, D)
+    scratch array, and bandit runs draw ``_DERIVE_ROWS`` steps of each
+    (seed, player) stream at a time. Each trajectory derives its scores,
+    the vhat it did not store, bias, noise and regret summands from those
+    rows when it first reads them (see :class:`_Derivation`). The runs of
+    a batch share one read-only array each for n, gamma and tau, and runs
+    that never sample share one read-only block of -1 for their realized
+    actions. Scores that overflow raise :class:`InputError` naming the
+    step, the run and its seed; a record too large to allocate raises
+    :class:`ResourceLimitError`.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise InputError("horizon must be a positive integer")
@@ -405,9 +417,12 @@ def run_many(
     layout = _layout(game.n_actions)
     R, N, D, T = len(seeds), game.n_players, layout.dim, int(horizon)
     bandit = isinstance(feedback, Bandit)
+    # only these gains depend on the scores, so only they are recorded
+    recorded = isinstance(feedback, (MirrorProx, Clairvoyant))
     try:
         if bandit:
-            uniforms = np.stack([uniform_table(s, N, T) for s in seeds], axis=1)
+            # each player's next _DERIVE_ROWS draws, per run
+            draws = np.empty((R, N, min(T, _DERIVE_ROWS)))
             deltas = np.empty(T)
             out_real = np.empty((R, T, N), dtype=np.int64)
         else:
@@ -415,7 +430,7 @@ def run_many(
         out_gamma = np.empty(T)
         out_tau = np.empty(T)
         out_x = np.empty((R, T, D))
-        out_vhat = np.empty((R, T, D))
+        out_vhat = np.empty((R, T, D)) if recorded else None
     except (ValueError, MemoryError) as exc:
         raise ResourceLimitError(
             f"cannot allocate the record of R = {R} runs, T = {T} steps and "
@@ -423,18 +438,28 @@ def run_many(
         ) from None
 
     payoffs = np.stack(game.payoffs)  # for the estimate
+    streams = [[player_stream(s, i) for i in range(N)] for s in seeds] if bandit else ()
     scores = np.stack(y0s)
     x = _choice_blocks(kernel, scores, layout.blocks)
+    vhat = np.empty((R, D))
     tau = 0.0
     comp = 0.0  # Kahan correction so tau stays exact over long runs
     for k in range(T):
         gamma = step_schedule.value(k + 1)
         out_x[:, k] = x
-        vhat = out_vhat[:, k]
+        if recorded:
+            vhat = out_vhat[:, k]
         if bandit:
+            j = k % draws.shape[2]
+            if j == 0:
+                # rows k .. k + b - 1 of each run's uniform_table
+                b = min(draws.shape[2], T - k)
+                for r, row in enumerate(streams):
+                    for i, stream in enumerate(row):
+                        stream.random(out=draws[r, i, :b])
             delta = deltas[k] = feedback.exploration.value(k + 1)
             xhat = _explored_unchecked(x, delta, layout.m_col)
-            _sample_actions_unchecked(xhat, uniforms[k], layout.blocks, out_real[:, k])
+            _sample_actions_unchecked(xhat, draws[:, :, j], layout.blocks, out_real[:, k])
             _iwe_unchecked(payoffs, layout.offsets, xhat, out_real[:, k], vhat)
         elif isinstance(feedback, Full):
             _field(game, x, vhat)
@@ -482,8 +507,8 @@ def run_many(
             gamma=out_gamma,
             tau=out_tau,
             x=out_x[r],
-            vhat=out_vhat[r],
             realized=out_real[r],
+            vhat=None if out_vhat is None else out_vhat[r],
             derive=derive,
         )
         for r in range(R)

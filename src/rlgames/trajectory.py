@@ -1,12 +1,14 @@
 """Time-indexed run records and their CSV interchange format.
 
 A Trajectory holds a run step by step as flat (T, D) rows, player-major
-in the layout ``game._layout`` owns: played profiles, surrogate gain
-vectors and sampled actions are stored; scores, the bias/noise split of
-the gains and the per-player instantaneous regret summands are derived
-from them on first read and then cached, so a caller pays only for the
-fields it reads. The CSV format is a strict subset with a fixed column
-order:
+in the layout ``game._layout`` owns: played profiles and sampled actions
+are stored, and so are the surrogate gain vectors where the run could
+not recompute them from the play (mirror-prox, clairvoyant and
+hand-built records). Scores, the gains that were not stored, the
+bias/noise split of the gains and the per-player instantaneous regret
+summands are derived from them on first read, each field on its own,
+and then cached, so a caller pays only for the fields it reads. The CSV
+format is a strict subset with a fixed column order:
 
     n, gamma, tau,
     x_<player>_<action> ... (player-major, action-major),
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -38,11 +40,15 @@ _CSV_ROWS = 16  # rows per block: larger blocks leave freed heap resident
 class Trajectory:
     """Record of one learning run.
 
-    `derive(traj, name)` returns a dict of derived arrays that includes
-    `name`; the engine passes one, a hand-built trajectory may not. The
-    derived fields are:
+    Stored: y0, n, gamma, tau, x and realized, plus vhat when it is
+    given. `derive(traj, name)` returns a dict of derived arrays that
+    includes `name`; the engine passes one, a hand-built trajectory may
+    not. The derived fields are:
 
     - scores: (T, D) scores y_n matching x rows
+    - vhat: (T, D) surrogate gains, unless given (the engine gives them
+      for mirror-prox and clairvoyant runs, whose gains depend on the
+      scores, and derives the full, optimistic and bandit ones)
     - bias, noise: (T, D) split of vhat around v(x_n)
     - gaps: (T, N) per-player instantaneous regret summands
     """
@@ -56,10 +62,14 @@ class Trajectory:
     gamma: np.ndarray  # (T,)
     tau: np.ndarray  # (T,) running sum of gamma
     x: np.ndarray  # (T, D) played profiles, flattened player-major
-    vhat: np.ndarray  # (T, D) surrogate gains
     realized: np.ndarray  # (T, N) sampled actions, -1 when not sampled
+    vhat: InitVar[np.ndarray | None] = None  # (T, D) surrogate gains, when stored
     derive: Callable | None = field(default=None, repr=False)
     _derived: dict = field(init=False, default_factory=dict, repr=False)
+
+    def __post_init__(self, vhat):
+        if vhat is not None:
+            self._derived["vhat"] = vhat
 
     def _read(self, name: str) -> np.ndarray:
         if name not in self._derived:
@@ -92,6 +102,10 @@ class Trajectory:
 
     def profile_at(self, k: int) -> list[np.ndarray]:
         return [x.copy() for x in _layout(self.n_actions).split(self.x[k])]
+
+
+# set after the class body, where it no longer reads as the InitVar's default
+Trajectory.vhat = property(lambda self: self._read("vhat"))
 
 
 def face_distances(traj: Trajectory, face: Face) -> np.ndarray:

@@ -144,6 +144,15 @@ def test_csv_records_bandit_actions(tmp_path, bandit_traj):
         assert got.min() >= 0 and got.max() <= 3
 
 
+def test_csv_derives_only_the_gaps(tmp_path, vz):
+    # the CSV reads the regret summands alone, so a bandit run caches them
+    # and no vhat, bias or noise
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    fresh = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 80, seed=2)
+    write_trajectory_csv(fresh, tmp_path / "t.csv")
+    assert set(fresh._derived) == {"gaps"}
+
+
 def test_csv_text_shape(tmp_path, traj):
     path = tmp_path / "t.csv"
     write_trajectory_csv(traj, path, faces=[full_face(builtin_game("vz4x4"))])
