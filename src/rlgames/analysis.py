@@ -105,7 +105,7 @@ def estimate_limit_set(
     """Greedy L1 dedup (first-seen representatives) of the trailing window."""
     if not 0.0 < window_fraction <= 1.0:
         raise InputError("window fraction must lie in (0, 1]")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InputError("dedup radius must be positive")
     T = trajectory.horizon
     start = T - max(1, int(np.ceil(window_fraction * T)))
@@ -172,7 +172,7 @@ def fit_rate(
     upper cutoff drops the transient, the lower one drops the numerical
     floor. Regression models need at least 20 points inside the window.
     """
-    if atol <= 0 or window <= atol:
+    if not 0 < atol < window:
         raise InputError("need 0 < atol < window")
     dist = face_distances(trajectory, face)
     tau = trajectory.tau

@@ -87,9 +87,10 @@ def _check_face(n_actions, face: Face) -> Face:
             f"face has {face.n_players} supports, game has {len(n_actions)} players"
         )
     for i, sub in enumerate(face.supports):
-        if sub[-1] >= n_actions[i]:
-            raise InputError(f"face support for player {i} mentions action {sub[-1]}, "
-                             f"but the player has {n_actions[i]} actions")
+        for a in (sub[0], sub[-1]):  # supports are sorted
+            if not 0 <= a < n_actions[i]:
+                raise InputError(f"face support for player {i} mentions action {a}, "
+                                 f"but the player has {n_actions[i]} actions")
     return face
 
 
@@ -331,7 +332,7 @@ def is_resilient(game: Game, points, tol: float = 0.0) -> ResilienceReport:
     Nonnegative gaps (within `tol`) for all players certify that no fixed
     mixture beats the set uniformly.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise InputError("tolerance must be nonnegative")
     pts = [check_profile(game, p) for p in points]
     if not pts:

@@ -109,12 +109,18 @@ def check_strategy(game: Game, player: int, x, rows: bool = False) -> np.ndarray
         raise InputError(
             f"strategy for player {player} has shape {v.shape}, expected {expected}"
         )
+    return _check_simplex(v)
+
+
+def _check_simplex(v: np.ndarray, what: str = "mixed strategy") -> np.ndarray:
+    """Reject `v` unless each row (last axis) is finite, has no entry below
+    -PROB_ATOL and sums to 1 within PROB_ATOL; `what` names it in errors."""
     if not np.isfinite(v).all():
-        raise InputError("mixed strategy contains NaN or Inf")
+        raise InputError(f"{what} contains NaN or Inf")
     if (v < -PROB_ATOL).any():
-        raise InputError("mixed strategy has a negative entry")
+        raise InputError(f"{what} has a negative entry")
     if (np.abs(v.sum(axis=-1) - 1.0) > PROB_ATOL).any():
-        raise InputError("mixed strategy does not sum to 1")
+        raise InputError(f"{what} does not sum to 1")
     return v
 
 
@@ -178,12 +184,7 @@ def check_distribution(game: Game, dist) -> np.ndarray:
         raise InputError(
             f"distribution has shape {d.shape}, expected {game.n_actions}"
         )
-    if not np.all(np.isfinite(d)):
-        raise InputError("distribution contains NaN or Inf")
-    if np.any(d < -PROB_ATOL):
-        raise InputError("distribution has a negative entry")
-    if abs(float(d.sum()) - 1.0) > PROB_ATOL:
-        raise InputError("distribution does not sum to 1")
+    _check_simplex(d.reshape(-1), "distribution")
     return d
 
 
@@ -234,7 +235,8 @@ def payoff_mixed(game: Game, player: int, profile) -> float:
     """Expected payoff to `player` under an independent mixed profile."""
     check_player(game, player)
     xs = check_profile(game, profile)
-    return float((_payoff_vector_unchecked(game, player, xs) * xs[player]).sum())
+    v = _payoff_vector_unchecked(game, player, [x[None] for x in xs])[0]
+    return float((v * xs[player]).sum())
 
 
 def payoff_vector(game: Game, player: int, profile) -> np.ndarray:
@@ -245,40 +247,38 @@ def payoff_vector(game: Game, player: int, profile) -> np.ndarray:
     """
     check_player(game, player)
     xs = check_profile(game, profile)
-    return _payoff_vector_unchecked(game, player, xs)
+    return _payoff_vector_unchecked(game, player, [x[None] for x in xs])[0]
 
 
 def _payoff_vector_unchecked(game: Game, player: int, xs) -> np.ndarray:
-    """The payoff operator: v_player for one profile or for R profiles.
+    """The payoff operator: v_player for R profiles.
 
-    Each ``xs[j]`` is a strategy (m_j,) or a stack of rows (R, m_j); the
-    result is (m_player,) or (R, m_player) to match. Opponents are
-    contracted one axis at a time as plain multiply-adds in action order,
-    so a row's arithmetic never depends on the other rows beside it.
+    Each ``xs[j]`` is a stack of rows (R, m_j), and the result is
+    (R, m_player). Opponents are contracted one axis at a time as plain
+    multiply-adds in action order, so a row's arithmetic never depends on
+    the other rows beside it.
     """
-    single = np.ndim(xs[0]) == 1
     # a leading axis runs over profiles; contracted axes drop out, so the
     # next opponent axis sits right after it, or after the own axis
     val = game.payoffs[player][None]
     for j in range(game.n_players):
         if j == player:
             continue
-        x = xs[j][None] if single else xs[j]
+        x = xs[j]
         shape = (len(x),) + (1,) * (val.ndim - 2)
         lead = (slice(None),) * (2 if j > player else 1)
         acc = val[lead + (0,)] * x[:, 0].reshape(shape)
         for b in range(1, game.n_actions[j]):
             acc = acc + val[lead + (b,)] * x[:, b].reshape(shape)
         val = acc
-    if single:
-        return val[0]
     rows = len(xs[0])
     return val if len(val) == rows else np.repeat(val, rows, axis=0)
 
 
 def payoff_vectors(game: Game, profile) -> list[np.ndarray]:
     """Payoff vectors of every player under one mixed profile."""
-    return _payoff_vectors_unchecked(game, check_profile(game, profile))
+    xs = [x[None] for x in check_profile(game, profile)]
+    return [v[0] for v in _payoff_vectors_unchecked(game, xs)]
 
 
 def _payoff_vectors_unchecked(game: Game, xs) -> list[np.ndarray]:
@@ -329,7 +329,7 @@ def _correlated_payoffs(game: Game, player: int, dists):
 
 def best_replies(game: Game, player: int, profile, tol: float = 1e-9) -> tuple[int, ...]:
     """Actions within `tol` of the best payoff against the profile."""
-    if tol < 0:
+    if not tol >= 0:
         raise InputError("tie tolerance must be nonnegative")
     v = payoff_vector(game, player, profile)
     return tuple(int(a) for a in np.flatnonzero(v >= v.max() - tol))
@@ -347,7 +347,7 @@ def enumerate_pure_nash(game: Game, strict_only: bool = False, tol: float = 1e-9
     comparison, no tolerance, matching the exact treatment of ties in the
     setwise tests).
     """
-    if tol < 0:
+    if not tol >= 0:
         raise InputError("tie tolerance must be nonnegative")
     ok = np.ones(game.n_actions, dtype=bool)
     for i in range(game.n_players):

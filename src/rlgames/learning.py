@@ -6,16 +6,16 @@ into scores and map scores to strategies,
     y_{n+1} = y_n + gamma_n * vhat_n,      x_{n+1} = Q(y_{n+1}),
 
 with the feedback kind deciding how vhat_n is produced from the current
-play. Each vhat splits as vhat = v(x_n) + bias + noise, and both parts are
-recorded so tests can check the advertised envelopes directly.
+play. Each vhat splits as vhat = v(x_n) + bias + noise, and a trajectory
+derives both parts so tests can check the advertised envelopes directly.
 
-One engine steps R runs in lockstep. Its only state is the flat (R, D)
-scores; the current play x_n = Q(y_n) is written straight into the
-record, laid out like the recorded x rows, and a step that needs
-an earlier play reads it back from there. Each player's (R, m_i) columns
-are a view into those rows; consecutive players with equal action counts
-form a block, viewed as (R, n_b, m_b), and each step makes one numpy call
-per block and operation. Every operation treats a row the same whatever
+One engine steps R runs in lockstep. Its state is the flat (R, D)
+scores, laid out like the recorded x rows, plus the field v(x) of the
+step before under optimistic feedback; the current play x_n = Q(y_n)
+goes straight into the record. Each player's (R, m_i) columns are a view
+into those rows; consecutive players with equal action counts form a
+block, viewed as (R, n_b, m_b), and each step makes one numpy call per
+block and operation. Every operation treats a row the same whatever
 other rows share the batch, so run r of a batch is bit for bit the single
 run from the same seed and start. :func:`run` is the one-run case.
 
@@ -23,12 +23,12 @@ The step loop computes only what the recursion needs and records only
 what cannot be recomputed from the play: x, the realized actions under
 bandit feedback, and vhat under mirror-prox and clairvoyant feedback,
 whose half-step or fixed point depends on the scores. Every other vhat is
-a row-wise function of x, the exploration weight and the realized
-actions, so the step computes it into one (R, D) scratch array. Scores,
-that vhat, bias, noise and the regret summands are derived from the
-recorded rows when a trajectory first reads them, with the same
-arithmetic in the same order the step used, so the record is the same
-bits either way and a caller that never reads them never pays for them.
+a row-wise function of the play, written once in :func:`_gain`, which the
+step calls on R runs at one step and a trajectory on B steps of one run.
+Scores, that vhat, bias, noise and the regret summands are derived from
+the recorded rows on first read, with the step's arithmetic in the
+step's order, so the record is the same bits either way and a caller
+that never reads them never pays for them.
 
 Randomness (bandit sampling only) comes from the counter-based Philox
 generator, keyed per (run seed, player): the draw used by player i at step
@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, ResourceLimitError
-from .game import Game, _flat, _layout, _payoff_vectors_unchecked, check_profile
+from .game import (Game, _check_simplex, _flat, _layout, _payoff_vectors_unchecked,
+                   check_profile)
 from .regularizers import Kernel, _choice_blocks
 from .trajectory import Trajectory
 
@@ -179,7 +180,7 @@ def sample_actions(explored, uniforms):
     rows = np.atleast_2d(u)
     if len(explored) != rows.shape[1]:
         raise InputError("one uniform per player is required")
-    xs = [np.atleast_2d(x) for x in explored]
+    xs = [_check_simplex(np.atleast_2d(np.asarray(x, dtype=float))) for x in explored]
     if any(len(x) != len(rows) for x in xs):
         raise InputError("explored rows and uniform rows disagree in number")
     x, layout = _flat(xs)
@@ -220,18 +221,18 @@ def iwe(game: Game, explored, realized):
         raise InputError(
             f"realized action {acts[r, i]} has zero sampling probability for player {i}"
         )
-    out = _iwe_unchecked(np.stack(game.payoffs), layout.offsets, x, acts, np.empty(x.shape))
+    out = _iwe_unchecked(np.stack(game.payoffs), layout.offsets, x, acts)
     out = layout.split(out)
     return out if rows else [v[0] for v in out]
 
 
-def _iwe_unchecked(payoffs, offsets, xhat, acts, out) -> np.ndarray:
-    """The estimate on flat (R, D) rows, written into `out`. `payoffs`
-    stacks the payoff tensors, so one gather reads all (N, R) realized
-    payoffs. Every realized action must have positive probability."""
+def _iwe_unchecked(payoffs, offsets, xhat, acts) -> np.ndarray:
+    """The estimate on flat (R, D) rows. `payoffs` stacks the payoff
+    tensors, so one gather reads all (N, R) realized payoffs. Every
+    realized action must have positive probability."""
     rows = np.arange(len(acts))[:, None]
     cols = offsets + acts
-    out.fill(0.0)
+    out = np.zeros(xhat.shape)
     out[rows, cols] = payoffs[(slice(None),) + tuple(acts.T)].T / xhat[rows, cols]
     return out
 
@@ -264,20 +265,29 @@ def _field(game: Game, x, out=None) -> np.ndarray:
     return np.concatenate(_payoff_vectors_unchecked(game, xs), axis=1, out=out)
 
 
+def _gain(feedback, payoffs, offsets, v=None, v_prev=None, xhat=None, acts=None):
+    """vhat on flat rows, R runs at one step or B steps of one run, for the
+    kinds whose gain depends only on the play: `v` = v(x_n) under full
+    feedback, 2 v(x_n) - v(x_{n-1}) under optimistic feedback, and the
+    estimate on the explored rows `xhat` and realized `acts` under bandit."""
+    if isinstance(feedback, Bandit):
+        return _iwe_unchecked(payoffs, offsets, xhat, acts)
+    if isinstance(feedback, Optimistic):
+        return 2.0 * v - v_prev
+    return v
+
+
 def _summands(game, feedback, name, x, acts, vhat, deltas, v_before):
     """Rows of the derived field `name` for consecutive recorded steps.
 
-    `x` holds flat (B, D) rows of one run; `acts` and `deltas` its
-    realized actions and exploration weights (bandit feedback only),
-    `vhat` its recorded gains (mirror-prox and clairvoyant feedback only),
-    and `v_before` the (1, D) field v(x) of the step before the first row
-    (optimistic feedback only; None at step 1, where the previous profile
-    is x_1 itself). Every formula acts row by row with the step's own
-    arithmetic, so the rows match what the step loop computed in place.
-
-    Returns the (B, D) rows of v(x) and the rows of `name`: (B, N) for
-    the regret summands ``gaps``, (B, D) for ``vhat``, ``bias`` and
-    ``noise``.
+    `x` holds flat (B, D) rows of one run, `acts` and `deltas` its realized
+    actions and exploration weights, `vhat` its recorded gains (mirror-prox
+    and clairvoyant feedback; None when :func:`_gain` rebuilds them) and
+    `v_before` the (1, D) field of the step before (None at step 1, where
+    x_0 := x_1). Noise is vhat less its mean, v(xhat) under bandit feedback
+    and vhat otherwise; bias is that mean less v(x), except that optimistic
+    feedback defines it as v(x_n) - v(x_{n-1}). Returns the (B, D) rows of
+    v(x) and of `name`, or (B, N) for the regret summands ``gaps``.
     """
     layout = _layout(game.n_actions)
     v = _field(game, x)
@@ -286,23 +296,18 @@ def _summands(game, feedback, name, x, acts, vhat, deltas, v_before):
             [g.max(axis=1) - (g * xi).sum(axis=1)
              for g, xi in zip(layout.split(v), layout.split(x))], axis=1
         )
-    if isinstance(feedback, Full) and name == "vhat":
-        return v, v
-    if isinstance(feedback, Optimistic) and name != "noise":
-        v_prev = np.concatenate([v[:1] if v_before is None else v_before, v[:-1]])
-        return v, (2.0 * v - v_prev if name == "vhat" else v - v_prev)
-    if isinstance(feedback, Bandit):
-        # the explored profile and the estimate, as the step drew them
-        xhat = _explored_unchecked(x, deltas[:, None], layout.m_col)
-        est = _iwe_unchecked(np.stack(game.payoffs), layout.offsets, xhat, acts,
-                             np.empty(x.shape))
-        if name == "vhat":
-            return v, est
-        v_mean = _field(game, xhat)
-        return v, (v_mean - v if name == "bias" else est - v_mean)
-    if isinstance(feedback, (MirrorProx, Clairvoyant)) and name == "bias":
-        return v, vhat - v
-    return v, np.zeros(x.shape)
+    v_prev = np.concatenate([v[:1] if v_before is None else v_before, v[:-1]])
+    bandit = isinstance(feedback, Bandit)
+    # the explored profile, as the step drew from it
+    xhat = _explored_unchecked(x, deltas[:, None], layout.m_col) if bandit else None
+    if vhat is None:
+        vhat = _gain(feedback, np.stack(game.payoffs), layout.offsets, v, v_prev, xhat, acts)
+    if name == "vhat":
+        return v, vhat
+    mean = _field(game, xhat) if bandit else vhat
+    if name == "noise":
+        return v, vhat - mean
+    return v, (v - v_prev if isinstance(feedback, Optimistic) else mean - v)
 
 
 @dataclass(frozen=True)
@@ -311,23 +316,23 @@ class _Derivation:
     trajectory of one :func:`run_many` call.
 
     `deltas` holds the exploration weight of every step (bandit feedback
-    only). Scores are summed from vhat; vhat (where the step did not
-    record it), bias, noise and gaps each come from their own pass of
-    :func:`_summands`, in blocks of at most ``_DERIVE_ROWS`` steps, so a
-    read caches only the field it asks for.
+    only). A call returns the one field it is asked for. Scores are summed
+    from vhat; vhat (where the step did not record it), bias, noise and
+    gaps each come from their own pass of :func:`_summands`, in blocks of
+    at most ``_DERIVE_ROWS`` steps, so a read caches only that field.
     """
 
     game: Game
     feedback: FeedbackKind
     deltas: np.ndarray | None
 
-    def __call__(self, traj: Trajectory, name: str) -> dict[str, np.ndarray]:
+    def __call__(self, traj: Trajectory, name: str) -> np.ndarray:
         if name == "scores":
             # y_{k+1} = y_k + gamma_k * vhat_k, summed in the loop's order
             scores = np.empty(traj.x.shape)
             scores[0] = traj.y0
             np.multiply(traj.gamma[:-1, None], traj.vhat[:-1], out=scores[1:])
-            return {"scores": np.cumsum(scores, axis=0, out=scores)}
+            return np.cumsum(scores, axis=0, out=scores)
         recorded = traj.vhat if isinstance(self.feedback, (MirrorProx, Clairvoyant)) else None
         out = np.empty((traj.horizon, traj.n_players) if name == "gaps" else traj.x.shape)
         v_last = None
@@ -340,7 +345,7 @@ class _Derivation:
                 v_last,
             )
             v_last = v[-1:]
-        return {name: out}
+        return out
 
 
 def _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma):
@@ -394,16 +399,16 @@ def run_many(
 
     Each step computes only what the next scores depend on. It stores x,
     the realized actions under bandit feedback and vhat under mirror-prox
-    and clairvoyant feedback; the other kinds compute vhat into one (R, D)
-    scratch array, and bandit runs draw ``_DERIVE_ROWS`` steps of each
-    (seed, player) stream at a time. Each trajectory derives its scores,
-    the vhat it did not store, bias, noise and regret summands from those
-    rows when it first reads them (see :class:`_Derivation`). The runs of
-    a batch share one read-only array each for n, gamma and tau, and runs
-    that never sample share one read-only block of -1 for their realized
-    actions. Scores that overflow raise :class:`InputError` naming the
-    step, the run and its seed; a record too large to allocate raises
-    :class:`ResourceLimitError`.
+    and clairvoyant feedback; the other kinds take vhat from :func:`_gain`,
+    and bandit runs, which never evaluate v(x), draw ``_DERIVE_ROWS`` steps
+    of each (seed, player) stream at a time. Each trajectory derives its
+    scores, the vhat it did not store, bias, noise and regret summands
+    from those rows on first read, one field per call of
+    :class:`_Derivation`. The runs of a batch share one read-only array
+    each for n, gamma and tau, and runs that never sample share one
+    read-only block of -1 for their realized actions. Scores that overflow
+    raise :class:`InputError` naming the step, the run and its seed; a
+    record too large to allocate raises :class:`ResourceLimitError`.
     """
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise InputError("horizon must be a positive integer")
@@ -441,14 +446,12 @@ def run_many(
     streams = [[player_stream(s, i) for i in range(N)] for s in seeds] if bandit else ()
     scores = np.stack(y0s)
     x = _choice_blocks(kernel, scores, layout.blocks)
-    vhat = np.empty((R, D))
+    v = None  # v(x) of the step before (full and optimistic feedback)
     tau = 0.0
     comp = 0.0  # Kahan correction so tau stays exact over long runs
     for k in range(T):
         gamma = step_schedule.value(k + 1)
         out_x[:, k] = x
-        if recorded:
-            vhat = out_vhat[:, k]
         if bandit:
             j = k % draws.shape[2]
             if j == 0:
@@ -459,21 +462,18 @@ def run_many(
                         stream.random(out=draws[r, i, :b])
             delta = deltas[k] = feedback.exploration.value(k + 1)
             xhat = _explored_unchecked(x, delta, layout.m_col)
-            _sample_actions_unchecked(xhat, draws[:, :, j], layout.blocks, out_real[:, k])
-            _iwe_unchecked(payoffs, layout.offsets, xhat, out_real[:, k], vhat)
-        elif isinstance(feedback, Full):
-            _field(game, x, vhat)
-        elif isinstance(feedback, Optimistic):
-            # the previous play is the record's row k - 1, and x_1 itself at
-            # step 1, so the first step is plain
-            np.subtract(2.0 * _field(game, x), _field(game, out_x[:, max(k - 1, 0)]),
-                        out=vhat)
+            acts = _sample_actions_unchecked(xhat, draws[:, :, j], layout.blocks, out_real[:, k])
+            vhat = _gain(feedback, payoffs, layout.offsets, xhat=xhat, acts=acts)
+        elif isinstance(feedback, (Full, Optimistic)):
+            # the previous play is x_1 itself at step 1, so the first step is plain
+            v_prev, v = v, _field(game, x)
+            vhat = _gain(feedback, payoffs, layout.offsets, v, v if v_prev is None else v_prev)
         elif isinstance(feedback, MirrorProx):
             x_half = _choice_blocks(kernel, scores + gamma * _field(game, x), layout.blocks)
-            _field(game, x_half, vhat)
+            vhat = _field(game, x_half, out_vhat[:, k])
         else:
             x_plus = _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma)
-            _field(game, x_plus, vhat)
+            vhat = _field(game, x_plus, out_vhat[:, k])
         scores += gamma * vhat
         if not np.isfinite(scores).all():
             r = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])

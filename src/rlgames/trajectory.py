@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
+from operator import methodcaller
 
 import numpy as np
 
@@ -41,9 +42,9 @@ class Trajectory:
     """Record of one learning run.
 
     Stored: y0, n, gamma, tau, x and realized, plus vhat when it is
-    given. `derive(traj, name)` returns a dict of derived arrays that
-    includes `name`; the engine passes one, a hand-built trajectory may
-    not. The derived fields are:
+    given. `derive(traj, name)` returns the array of the derived field
+    `name`, which is then cached; the engine passes one, a hand-built
+    trajectory may not. The derived fields are:
 
     - scores: (T, D) scores y_n matching x rows
     - vhat: (T, D) surrogate gains, unless given (the engine gives them
@@ -75,13 +76,8 @@ class Trajectory:
         if name not in self._derived:
             if self.derive is None:
                 raise InputError(f"trajectory has no source to derive {name!r} from")
-            self._derived.update(self.derive(self, name))
+            self._derived[name] = self.derive(self, name)
         return self._derived[name]
-
-    scores = property(lambda self: self._read("scores"))
-    bias = property(lambda self: self._read("bias"))
-    noise = property(lambda self: self._read("noise"))
-    gaps = property(lambda self: self._read("gaps"))
 
     @property
     def n_players(self) -> int:
@@ -104,8 +100,9 @@ class Trajectory:
         return [x.copy() for x in _layout(self.n_actions).split(self.x[k])]
 
 
-# set after the class body, where it no longer reads as the InitVar's default
-Trajectory.vhat = property(lambda self: self._read("vhat"))
+# set after the class body, where vhat no longer reads as the InitVar's default
+for _name in ("scores", "vhat", "bias", "noise", "gaps"):
+    setattr(Trajectory, _name, property(methodcaller("_read", _name)))
 
 
 def face_distances(traj: Trajectory, face: Face) -> np.ndarray:

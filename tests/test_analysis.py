@@ -255,6 +255,18 @@ def test_limit_set_validation(vz_traj):
         estimate_limit_set(vz_traj, epsilon=0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, face: estimate_limit_set(t, epsilon=float("nan")),
+    lambda t, face: fit_rate(t, face, LOGIT, atol=float("nan")),
+    lambda t, face: fit_rate(t, face, LOGIT, window=float("nan")),
+], ids=["limit_set_epsilon", "fit_rate_atol", "fit_rate_window"])
+def test_a_nan_tolerance_is_rejected(vz_traj, call):
+    # every comparison with NaN is false, so a NaN tolerance would keep
+    # every window row or empty the regression window
+    with pytest.raises(InputError):
+        call(vz_traj, face_from_lists([[0], [0]]))
+
+
 def test_limit_resilience_on_frozen_paths(vz):
     at_nash = np.tile(np.concatenate(pure_profile(vz, (0, 0))), (60, 1))
     rep = check_limit_resilience(make_traj((4, 4), at_nash), vz)

@@ -217,6 +217,15 @@ def test_malformed_game_payoffs_exit_2_with_a_json_error(tmp_path, capsys, entry
     assert fragment in err["message"]
 
 
+def test_a_negative_face_action_exits_2_with_a_json_error(tmp_path, capsys):
+    # numpy would read action -1 as the last action and track {3}x{0}
+    cfg = write_config(tmp_path, faces=[[[-1], [0]], [[3], [0]]])
+    assert main(["run", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError"
+    assert "player 0 mentions action -1" in err["message"]
+
+
 def test_run_with_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "OSError"

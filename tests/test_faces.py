@@ -69,6 +69,16 @@ def test_check_face_validates_against_game(vz):
     assert ok.supports == ((0, 2), (0, 2))
 
 
+def test_check_face_rejects_a_negative_action(vz):
+    # numpy would read -1 as the last action, so {-1}x{0} would stand for {3}x{0}
+    face = face_from_lists([[-1], [0]])
+    for call in (lambda: check_face(vz, face),
+                 lambda: club_margin(vz, face),
+                 lambda: distance_to_face(vz, pure_profile(vz, (3, 0)), face)):
+        with pytest.raises(InputError, match="player 0 mentions action -1"):
+            call()
+
+
 def test_face_containment():
     big = face_from_lists(SQUARE)
     small = face_from_lists([[0], [2]])
@@ -386,6 +396,12 @@ def test_resilience_validation(vz):
         is_resilient(vz, [])
     with pytest.raises(InputError):
         is_resilient(vz, [pure_profile(vz, (0, 0))], tol=-0.1)
+
+
+def test_resilience_rejects_a_nan_tolerance(vz):
+    # gaps >= -nan is false for every gap, so every set would fail
+    with pytest.raises(InputError, match="tolerance"):
+        is_resilient(vz, [pure_profile(vz, (0, 0))], tol=float("nan"))
 
 
 def test_resilience_gaps_match_per_point_pieces(vz):

@@ -240,6 +240,16 @@ def test_best_replies_ties_within_tolerance():
     assert best_replies(g2, 0, [np.array([1.0, 0.0]), np.array([1.0, 0.0])]) == (0, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: best_replies(g, 0, [np.full(4, 0.25)] * 2, tol=float("nan")),
+    lambda g: enumerate_pure_nash(g, tol=float("nan")),
+], ids=["best_replies", "enumerate_pure_nash"])
+def test_a_nan_tie_tolerance_is_rejected(call):
+    # a NaN tolerance fails every comparison, so nothing would tie
+    with pytest.raises(InputError, match="tie tolerance"):
+        call(vz4x4())
+
+
 def test_enumerate_pure_nash_on_the_4x4_game():
     g = vz4x4()
     assert enumerate_pure_nash(g, strict_only=True) == [(0, 0), (2, 2)]
