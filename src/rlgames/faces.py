@@ -13,17 +13,17 @@ returns the margin of every face as one array with one axis per player,
 entry mask - 1 on each, built from subset-max and subset-min tables that
 double along each axis; `enumerate_clubs` keeps its positive entries.
 
-`is_curb` checks the coarser best-reply closure on a finite grid over the
-opposing face. `is_resilient` solves, per player, a small minimax LP
-certifying that no prepared mixture beats the face's candidate points
-uniformly.
+`is_curb` checks the coarser best-reply closure with one minimax LP per
+player and outside action, over beliefs on the opposing face's vertices:
+exact for two players, and for three or more a sufficient test, since the
+beliefs may be correlated. `is_resilient` solves, per player, a small
+minimax LP certifying that no prepared mixture beats the face's candidate
+points uniformly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,10 +134,8 @@ def deviation_vectors(game: Game, face: Face) -> list[DeviationVector]:
     check_face(game, face)
     out = []
     for i in range(game.n_players):
-        inside = face.supports[i]
-        outside = [b for b in range(game.n_actions[i]) if b not in inside]
-        for a in inside:
-            for b in outside:
+        for a in face.supports[i]:
+            for b in _outside(game, face, i):
                 out.append(DeviationVector(player=i, inside=a, outside=b))
     return out
 
@@ -158,16 +156,28 @@ def club_margin(game: Game, face: Face) -> float:
     margin = np.inf
     for i in range(game.n_players):
         inside = list(face.supports[i])
-        outside = [b for b in range(game.n_actions[i]) if b not in face.supports[i]]
+        outside = _outside(game, face, i)
         if not outside:
             continue
-        opp = [face.supports[j] for j in range(game.n_players) if j != i]
-        u = np.moveaxis(game.payoffs[i], i, 0)
-        for axis, keep in enumerate(opp, start=1):
-            u = u.take(keep, axis=axis)
+        u = _vertex_payoffs(game, face, i)
         gaps = u[outside][:, None] - u[inside][None, :]
         margin = min(margin, float(-gaps.max()))
     return float(margin)
+
+
+def _outside(game: Game, face: Face, i: int) -> list[int]:
+    """Player i's actions outside the face, in index order."""
+    return [b for b in range(game.n_actions[i]) if b not in face.supports[i]]
+
+
+def _vertex_payoffs(game: Game, face: Face, i: int) -> np.ndarray:
+    """Player i's payoff table: one row per own action, one column per
+    vertex of the opposing face (opponents in player order, C order)."""
+    u = np.moveaxis(game.payoffs[i], i, 0)
+    opp = [s for j, s in enumerate(face.supports) if j != i]
+    for axis, keep in enumerate(opp, start=1):
+        u = u.take(keep, axis=axis)
+    return u.reshape(len(u), -1)
 
 
 def is_club(game: Game, face: Face) -> bool:
@@ -260,53 +270,28 @@ def _minimal_faces(faces: list[Face]) -> list[Face]:
 
 
 # ---------------------------------------------------------------------------
-# best-reply closure on a grid
+# closedness under best replies
 
 
-@lru_cache(maxsize=None)
-def _simplex_grid(dim: int, resolution: int) -> tuple[tuple[float, ...], ...]:
-    """All points of the `dim`-simplex with coordinates k/resolution."""
-    pts = []
-    for combo in itertools.combinations(range(resolution + dim - 1), dim - 1):
-        counts = []
-        prev = -1
-        for c in combo:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(resolution + dim - 2 - prev)
-        pts.append(tuple(k / resolution for k in counts))
-    return tuple(pts)
+def is_curb(game: Game, face: Face) -> bool:
+    """Closed under best replies (strict; ties fail, as in `is_club`).
 
-
-def is_curb(game: Game, face: Face, grid_resolution: int = 8) -> bool:
-    """Approximate best-reply closure over a grid of opposing mixtures.
-
-    For every grid mixture supported on the opposing face, the best payoff
-    inside each player's support must strictly beat the best outside. The
-    grid includes all vertices, so a face that already fails the vertex
-    test fails here too; grid refinement only tightens the interior check.
+    For each player i and outside action b, one minimax LP over beliefs σ
+    on the opposing face's vertices decides whether min_σ max_{a in S_i}
+    u_i(a, σ) - u_i(b, σ) is positive, i.e. whether b is never a best
+    reply. For two players the beliefs are exactly the opposing mixtures,
+    so the test is exact; for three or more they may be correlated, a
+    larger set than the product mixtures, so a face that passes is curb
+    but a curb face can fail.
     """
     check_face(game, face)
-    if grid_resolution < 2:
-        raise InputError("grid resolution must be at least 2")
-    grids = []
-    for j, sub in enumerate(face.supports):
-        pts = _simplex_grid(len(sub), grid_resolution)
-        full = np.zeros((len(pts), game.n_actions[j]))
-        full[:, list(sub)] = pts
-        grids.append(full)
     for i in range(game.n_players):
-        inside = list(face.supports[i])
-        outside = [b for b in range(game.n_actions[i]) if b not in face.supports[i]]
-        if not outside:
-            continue
-        # every combination of opposing grid mixtures, one per row; the
-        # operator ignores player i's own strategy, so one row stands in
-        sizes = [1 if j == i else len(g) for j, g in enumerate(grids)]
-        picks = np.indices(sizes).reshape(game.n_players, -1)
-        v = _payoff_vector_unchecked(game, i, [g[k] for g, k in zip(grids, picks)])
-        if (v[:, outside].max(axis=1) >= v[:, inside].max(axis=1)).any():
-            return False
+        u = _vertex_payoffs(game, face, i)
+        for b in _outside(game, face, i):
+            pieces = [(0.0, u[b] - u[a]) for a in face.supports[i]]
+            value, _ = solve_minimax_lp(pieces, u.shape[1])
+            if not value > 0.0:
+                return False
     return True
 
 

@@ -327,14 +327,6 @@ def _correlated_payoffs(game: Game, player: int, dists):
     return fixed.sum(axis=tuple(range(lead, dists.ndim - 1))), value
 
 
-def best_replies(game: Game, player: int, profile, tol: float = 1e-9) -> tuple[int, ...]:
-    """Actions within `tol` of the best payoff against the profile."""
-    if not tol >= 0:
-        raise InputError("tie tolerance must be nonnegative")
-    v = payoff_vector(game, player, profile)
-    return tuple(int(a) for a in np.flatnonzero(v >= v.max() - tol))
-
-
 # ---------------------------------------------------------------------------
 # equilibria and dominance
 

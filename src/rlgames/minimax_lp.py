@@ -17,6 +17,7 @@ from .errors import InputError, SolverError
 _ENTER_EPS = 1e-10
 _PIVOT_EPS = 1e-12
 _MAX_PIVOTS = 10_000
+_FEASIBLE_EPS = 1e-7
 
 
 def solve_minimax_lp(pieces, dim: int) -> tuple[float, np.ndarray]:
@@ -83,10 +84,10 @@ def _two_phase(A, b, c):
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    tableau, basis = _iterate(A1, b, c1, basis)
+    tableau, basis = _iterate(A1, b, c1, basis, phase1=True)
     xb = tableau[:m, -1]
-    phase1 = sum(xb[i] for i, j in enumerate(basis) if j >= n)
-    if phase1 > 1e-7:
+    residual = sum(xb[i] for i, j in enumerate(basis) if j >= n)
+    if residual > _FEASIBLE_EPS:
         raise SolverError("phase 1 did not reach feasibility")
 
     # pivot leftover artificials out of the basis where possible
@@ -111,7 +112,11 @@ def _two_phase(A, b, c):
     return x
 
 
-def _iterate(A, b, c, basis):
+def _iterate(A, b, c, basis, phase1=False):
+    """Pivot to optimality. The phase-1 objective, a sum of artificials, is
+    bounded below by 0, so a ray found there once the objective is within
+    the feasibility tolerance is round-off: phase 1 ends instead of
+    reporting an unbounded LP."""
     m, n = A.shape
     tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = A
@@ -130,6 +135,8 @@ def _iterate(A, b, c, basis):
         col = tableau[:m, enter]
         rows = np.flatnonzero(col > _PIVOT_EPS)
         if rows.size == 0:
+            if phase1 and -tableau[m, -1] <= _FEASIBLE_EPS:
+                return tableau, basis
             raise SolverError("LP is unbounded")
         ratios = tableau[rows, -1] / col[rows]
         best = ratios.min()

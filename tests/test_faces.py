@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from rlgames import (
     DeviationVector,
@@ -22,6 +23,7 @@ from rlgames import (
     is_club,
     is_curb,
     is_resilient,
+    list_builtin,
     minimal_clubs,
     pure_profile,
     random_game,
@@ -317,9 +319,11 @@ def test_curb_separates_from_club(vz):
         assert is_curb(vz, singleton_face(vz, prof))
 
 
-def test_every_club_is_curb(vz):
-    for face in enumerate_clubs(vz):
-        assert is_curb(vz, face)
+def test_every_club_is_curb():
+    for name in list_builtin():
+        game = builtin_game(name)
+        for face in enumerate_clubs(game):
+            assert is_curb(game, face), (name, face)
 
 
 def _curb_per_point(game, face, resolution):
@@ -346,24 +350,56 @@ def _curb_per_point(game, face, resolution):
     return True
 
 
-def test_curb_matches_a_per_point_loop(vz):
+def _curb_oracle(game, face):
+    """Two-player best-reply closure decided by HiGHS feasibility: the face
+    fails when some opposing mixture lets an outside action weakly beat
+    every inside one."""
+    for i in range(2):
+        opp = list(face.supports[1 - i])
+        u = np.moveaxis(game.payoffs[i], i, 0)[:, opp]
+        inside = list(face.supports[i])
+        for b in range(game.n_actions[i]):
+            if b in inside:
+                continue
+            res = linprog(np.zeros(len(opp)), A_ub=u[inside] - u[b],
+                          b_ub=np.zeros(len(inside)), A_eq=np.ones((1, len(opp))),
+                          b_eq=[1.0], bounds=(0, None), method="highs")
+            assert res.status in (0, 2), res.message
+            if res.status == 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed,shape", [
+    (275, (4, 4)),  # once made the LP report a phase-1 ray
+    (6, (4, 4)),
+    (11, (4, 4)),
+    (3, (3, 5)),
+    (4, (2, 3)),
+], ids=lambda v: f"seed{v}" if isinstance(v, int) else "x".join(map(str, v)))
+def test_curb_matches_a_highs_oracle(seed, shape):
+    game = random_game(np.random.default_rng(seed), shape)
+    for face in all_faces(game):
+        assert is_curb(game, face) == _curb_oracle(game, face), face
+
+
+def test_curb_rejects_a_face_the_grid_accepted():
+    # against row mixtures near 0.26/0.74 on actions 2 and 3, between the
+    # resolution-8 and -32 grid points, column action 1 is a best reply
+    game = random_game(np.random.default_rng(6), (4, 4))
+    face = face_from_lists([[2, 3], [2, 3]])
+    assert not is_curb(game, face)
+    assert not _curb_oracle(game, face)
+
+
+def test_curb_is_sufficient_for_three_players():
     three = random_game(np.random.default_rng(32), (3, 3, 2))
     # the spectator's indifference makes ties, which must fail the test
-    for game in (vz, three, builtin_game("spectator")):
-        subsets = [
-            [c for r in range(1, m + 1) for c in itertools.combinations(range(m), r)]
-            for m in game.n_actions
-        ]
-        for supports in itertools.product(*subsets):
-            face = Face(supports=supports)
-            for resolution in (2, 8):
-                want = _curb_per_point(game, face, resolution)
-                assert is_curb(game, face, grid_resolution=resolution) == want, face
-
-
-def test_curb_grid_resolution_validation(vz):
-    with pytest.raises(InputError):
-        is_curb(vz, full_face(vz), grid_resolution=1)
+    for game in (three, builtin_game("spectator")):
+        accepted = [face for face in all_faces(game) if is_curb(game, face)]
+        assert len(accepted) > 1  # more than the full face
+        for face in accepted:
+            assert _curb_per_point(game, face, 8), face
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from rlgames.builtin import builtin_game, matching_pennies_2p, parity, vz4x4
 from rlgames.errors import InputError
 from rlgames.game import (
     Game,
-    best_replies,
     check_distribution,
     check_profile,
     check_strategy,
@@ -172,7 +171,7 @@ def test_check_profile_rows_mode_checks_every_row():
 def test_payoff_calls_reject_a_player_out_of_range(player):
     g = vz4x4()
     uniform = [np.full(4, 0.25), np.full(4, 0.25)]
-    for fn in (payoff_vector, payoff_mixed, best_replies):
+    for fn in (payoff_vector, payoff_mixed):
         with pytest.raises(InputError, match="player index"):
             fn(g, player, uniform)
 
@@ -232,18 +231,9 @@ def test_deviation_gaps_independent_recomputation(rng):
 # equilibria and dominance
 
 
-def test_best_replies_ties_within_tolerance():
-    g = two_player([[1.0, 1.0 - 1e-12], [0.0, 0.0]], np.zeros((2, 2)))
-    x2 = np.array([0.0, 1.0])
-    assert best_replies(g, 0, [np.array([1.0, 0.0]), x2]) == (0,)
-    g2 = two_player([[1.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)))
-    assert best_replies(g2, 0, [np.array([1.0, 0.0]), np.array([1.0, 0.0])]) == (0, 1)
-
-
 @pytest.mark.parametrize("call", [
-    lambda g: best_replies(g, 0, [np.full(4, 0.25)] * 2, tol=float("nan")),
     lambda g: enumerate_pure_nash(g, tol=float("nan")),
-], ids=["best_replies", "enumerate_pure_nash"])
+], ids=["enumerate_pure_nash"])
 def test_a_nan_tie_tolerance_is_rejected(call):
     # a NaN tolerance fails every comparison, so nothing would tie
     with pytest.raises(InputError, match="tie tolerance"):

@@ -147,6 +147,9 @@ def test_sample_actions_errors():
     rows = [np.stack([xi, xi]) for xi in x]
     with pytest.raises(InputError, match="disagree in number"):
         sample_actions(rows, np.full((3, 2), 0.5))
+    for uniforms in ([1.5, -0.5], [np.nan, 7.0]):  # unchecked, [1, 0] and [0, 2]
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            sample_actions(x, uniforms)
 
 
 @pytest.mark.parametrize("row,fragment", [

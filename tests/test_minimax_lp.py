@@ -117,6 +117,15 @@ def test_degenerate_duplicate_pieces_terminate():
     assert z.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_phase1_ends_at_a_round_off_ray():
+    # a degenerate ratio tie pivots on the tiny slope, and round-off leaves
+    # an entering column with no positive entry while phase 1 is already at 0
+    pieces = [(0, [2.9949209556789924e-07]), (0, [0.9512519850663219])]
+    value, z = solve_minimax_lp(pieces, 1)
+    assert value == pytest.approx(-2.9949209556789924e-07, rel=1e-9)
+    assert z.tolist() == [1.0]
+
+
 def test_input_validation():
     with pytest.raises(InputError):
         solve_minimax_lp([], 2)
