@@ -42,7 +42,7 @@ def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expecte
     check_player(game, player)
     if mode == "expected":
         xs = check_profile(game, _layout(game.n_actions).split(trajectory.x), rows=True)
-        per_action = _payoff_vector_unchecked(game, player, xs)
+        per_action = _payoff_vector_unchecked(game, player, trajectory.x)
         value = (per_action * xs[player]).sum(axis=1)
     elif mode == "realized":
         acts = trajectory.realized
@@ -102,20 +102,29 @@ class LimitSetEstimate:
 def estimate_limit_set(
     trajectory: Trajectory, window_fraction: float = 0.1, epsilon: float = 0.02
 ) -> LimitSetEstimate:
-    """Greedy L1 dedup (first-seen representatives) of the trailing window."""
+    """Greedy L1 dedup (first-seen representatives) of the trailing window.
+
+    A row is a representative when no earlier representative lies within
+    `epsilon` of it, so the first uncovered row is always the next one:
+    each representative marks the rows it covers in one pass.
+    """
     if not 0.0 < window_fraction <= 1.0:
         raise InputError("window fraction must lie in (0, 1]")
     if not epsilon > 0:
         raise InputError("dedup radius must be positive")
     T = trajectory.horizon
     start = T - max(1, int(np.ceil(window_fraction * T)))
-    reps: dict[int, np.ndarray] = {}  # first-seen row index -> its row
-    for k in range(start, T):
-        row = trajectory.x[k]
-        if not any(np.abs(row - r).sum() <= epsilon for r in reps.values()):
-            reps[k] = row
+    window = trajectory.x[start:]
+    covered = np.zeros(len(window), dtype=bool)
+    reps = []  # window rows of the representatives
+    uncovered = [0]
+    while len(uncovered):
+        k = int(uncovered[0])
+        reps.append(k)
+        covered |= np.abs(window - window[k]).sum(axis=1) <= epsilon
+        uncovered = np.flatnonzero(~covered)
     return LimitSetEstimate(
-        points=tuple(tuple(trajectory.profile_at(k)) for k in reps),
+        points=tuple(tuple(trajectory.profile_at(start + k)) for k in reps),
         window_fraction=window_fraction,
         epsilon=epsilon,
         first_index=start,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .game import Game, _flat, _layout, _payoff_vector_unchecked, check_profile
+from .game import Game, _flat, _layout, _payoff_vectors_unchecked, check_profile
 from .minimax_lp import solve_minimax_lp
 
 MAX_FACES_DEFAULT = 1_000_000
@@ -322,12 +322,13 @@ def is_resilient(game: Game, points, tol: float = 0.0) -> ResilienceReport:
     pts = [check_profile(game, p) for p in points]
     if not pts:
         raise InputError("at least one candidate point is required")
-    rows = [np.stack(col) for col in zip(*pts)]
+    x, layout = _flat(np.stack(col) for col in zip(*pts))
+    v = _payoff_vectors_unchecked(game, x)
     gaps = []
     witnesses = []
-    for i in range(game.n_players):
-        slopes = _payoff_vector_unchecked(game, i, rows)
-        offsets = (slopes * rows[i]).sum(axis=1)
+    for i, cols in enumerate(layout.cols):
+        slopes = v[:, cols]
+        offsets = (slopes * x[:, cols]).sum(axis=1)
         value, z = solve_minimax_lp(zip(offsets, slopes), game.n_actions[i])
         gaps.append(value)
         witnesses.append(z)

@@ -72,6 +72,12 @@ class Game:
     def n_players(self) -> int:
         return len(self.n_actions)
 
+    @functools.cached_property
+    def _stacks(self) -> tuple[_Stack, ...]:
+        """The payoff tensors stacked once per layout block, read-only."""
+        return tuple(_Stack(self, players, cols)
+                     for players, cols, _ in _layout(self.n_actions).blocks)
+
     def profiles(self):
         """Iterate over all pure action profiles in row-major order."""
         return itertools.product(*(range(m) for m in self.n_actions))
@@ -235,7 +241,7 @@ def payoff_mixed(game: Game, player: int, profile) -> float:
     """Expected payoff to `player` under an independent mixed profile."""
     check_player(game, player)
     xs = check_profile(game, profile)
-    v = _payoff_vector_unchecked(game, player, [x[None] for x in xs])[0]
+    v = _payoff_vector_unchecked(game, player, np.concatenate(xs)[None])[0]
     return float((v * xs[player]).sum())
 
 
@@ -247,42 +253,85 @@ def payoff_vector(game: Game, player: int, profile) -> np.ndarray:
     """
     check_player(game, player)
     xs = check_profile(game, profile)
-    return _payoff_vector_unchecked(game, player, [x[None] for x in xs])[0]
-
-
-def _payoff_vector_unchecked(game: Game, player: int, xs) -> np.ndarray:
-    """The payoff operator: v_player for R profiles.
-
-    Each ``xs[j]`` is a stack of rows (R, m_j), and the result is
-    (R, m_player). Opponents are contracted one axis at a time as plain
-    multiply-adds in action order, so a row's arithmetic never depends on
-    the other rows beside it.
-    """
-    # a leading axis runs over profiles; contracted axes drop out, so the
-    # next opponent axis sits right after it, or after the own axis
-    val = game.payoffs[player][None]
-    for j in range(game.n_players):
-        if j == player:
-            continue
-        x = xs[j]
-        shape = (len(x),) + (1,) * (val.ndim - 2)
-        lead = (slice(None),) * (2 if j > player else 1)
-        acc = val[lead + (0,)] * x[:, 0].reshape(shape)
-        for b in range(1, game.n_actions[j]):
-            acc = acc + val[lead + (b,)] * x[:, b].reshape(shape)
-        val = acc
-    rows = len(xs[0])
-    return val if len(val) == rows else np.repeat(val, rows, axis=0)
+    return _payoff_vector_unchecked(game, player, np.concatenate(xs)[None])[0]
 
 
 def payoff_vectors(game: Game, profile) -> list[np.ndarray]:
     """Payoff vectors of every player under one mixed profile."""
-    xs = [x[None] for x in check_profile(game, profile)]
-    return [v[0] for v in _payoff_vectors_unchecked(game, xs)]
+    x, layout = _flat(x[None] for x in check_profile(game, profile))
+    return layout.split(_payoff_vectors_unchecked(game, x)[0])
 
 
-def _payoff_vectors_unchecked(game: Game, xs) -> list[np.ndarray]:
-    return [_payoff_vector_unchecked(game, i, xs) for i in range(game.n_players)]
+class _Stack:
+    """The payoff tensors of one layout block (consecutive players with
+    equal action counts), stacked once per game for the payoff operator.
+
+    Moving a player's own axis last leaves its opponents' axes in
+    ascending order, and within a block those shapes agree, so ``table``
+    stacks them as (o_1, ..., o_{N-1}, 1, n_b, m): opponent axes first,
+    then a unit axis that broadcasts over profiles, the block's players
+    and their own actions. Row a of the (o_1 + ... + o_{N-1}, n_b) array
+    ``gather`` holds, for each block player, the flat column of its
+    opponents' a-th action, counted across the opponents in ascending
+    order.
+    """
+
+    def __init__(self, game: Game, players: slice, cols: slice):
+        layout = _layout(game.n_actions)
+        members = range(players.start, players.stop)
+        self.players, self.cols = players, cols
+        self.table = np.stack(
+            [np.moveaxis(game.payoffs[i], i, -1) for i in members], axis=-2
+        )[..., None, :, :]
+        self.opponent_sizes = self.table.shape[:-3]
+        # player i's opponents, ascending, own every flat column but i's
+        self.gather = np.stack(
+            [np.delete(np.arange(layout.dim), layout.cols[i]) for i in members], axis=1
+        )
+        self.table.flags.writeable = self.gather.flags.writeable = False
+
+    def contract(self, x, members: slice = slice(None)) -> np.ndarray:
+        """v of the block players `members` (a slice of the block) on flat
+        (R, D) rows, as (R, k, m).
+
+        Each opponent is contracted as plain multiply-adds in action
+        order, opponents ascending, so every entry is the same sum of the
+        same products whichever block, players or other rows it is
+        computed with.
+        """
+        val = self.table[..., members, :]
+        xs = x[:, self.gather[:, members], None]  # (R, sum o_s, k, 1)
+        a = 0
+        for size in self.opponent_sizes:
+            acc = val[0] * xs[:, a]
+            for b in range(1, size):
+                acc = acc + val[b] * xs[:, a + b]
+            val = acc
+            a += size
+        return val if len(val) == len(x) else np.repeat(val, len(x), axis=0)
+
+
+def _payoff_vector_unchecked(game: Game, player: int, x) -> np.ndarray:
+    """v_player on flat (R, D) rows, as (R, m_player)."""
+    for stack in game._stacks:
+        if player < stack.players.stop:
+            k = player - stack.players.start
+            return stack.contract(x, slice(k, k + 1))[:, 0]
+
+
+def _payoff_vectors_unchecked(game: Game, x, out=None) -> np.ndarray:
+    """The payoff operator v(x) on flat (R, D) rows, as flat rows.
+
+    Two players' tensors, each with its own axis moved aside, share a
+    shape exactly when the players lie in one layout block (a run of
+    consecutive players with equal action counts). So each block is one
+    stacked contraction, written into the block's columns, and every
+    entry has the bits that player's own contraction would give.
+    """
+    out = np.empty(x.shape) if out is None else out
+    for stack in game._stacks:
+        out[:, stack.cols] = stack.contract(x).reshape(len(x), -1)
+    return out
 
 
 def payoff_bound(game: Game) -> float:

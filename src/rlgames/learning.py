@@ -15,9 +15,12 @@ step before under optimistic feedback; the current play x_n = Q(y_n)
 goes straight into the record. Each player's (R, m_i) columns are a view
 into those rows; consecutive players with equal action counts form a
 block, viewed as (R, n_b, m_b), and each step makes one numpy call per
-block and operation. Every operation treats a row the same whatever
-other rows share the batch, so run r of a batch is bit for bit the single
-run from the same seed and start. :func:`run` is the one-run case.
+block and operation. The payoff operator v(x) works per block too: the
+game stacks each block's payoff tensors once, and one multiply-add per
+(opponent, action) gives the whole block's payoff vectors. Every
+operation treats a row the same whatever other rows share the batch, so
+run r of a batch is bit for bit the single run from the same seed and
+start. :func:`run` is the one-run case.
 
 The step loop computes only what the recursion needs and records only
 what cannot be recomputed from the play: x, the realized actions under
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, ResourceLimitError
-from .game import (Game, _check_simplex, _flat, _layout, _payoff_vectors_unchecked,
-                   check_profile)
+from .game import Game, _check_simplex, _flat, _layout, check_profile
+from .game import _payoff_vectors_unchecked as _field
 from .regularizers import Kernel, _choice_blocks
 from .trajectory import Trajectory
 
@@ -259,12 +262,6 @@ def _initial_scores(game: Game, y0) -> np.ndarray:
     if not np.isfinite(flat).all():
         raise InputError("initial scores contain NaN or Inf")
     return flat
-
-
-def _field(game: Game, x, out=None) -> np.ndarray:
-    """The payoff operator v(x) on flat (R, D) rows, as flat rows."""
-    xs = _layout(game.n_actions).split(x)
-    return np.concatenate(_payoff_vectors_unchecked(game, xs), axis=1, out=out)
 
 
 def _gain(feedback, payoffs, offsets, v=None, v_prev=None, xhat=None, acts=None):

@@ -191,9 +191,10 @@ def _power_choice(kernel: Kernel, batch):
     1 no further right than the root, so the iterates rise monotonically
     to it and f' < 0 on every one of them. A row is frozen once its own
     residual closes, so it maps to the same bits whatever other rows
-    share the batch.
+    share the batch. Every evaluation writes the terms of f and of -f'
+    into one buffer and sums both in one reduction.
     """
-    m = batch.shape[1]
+    rows, m = batch.shape
     if m == 1:
         return np.ones_like(batch)
     rho = kernel.rho
@@ -201,30 +202,37 @@ def _power_choice(kernel: Kernel, batch):
     inv_exp = 1.0 / scale
     steep = kernel.steep
     batch = batch - batch.max(axis=1, keepdims=True)
-    mu = np.full(len(batch), -kernel.theta_prime_at_one())
+    mu = np.full(rows, -kernel.theta_prime_at_one())
+    w = np.empty((rows, m))
+    buf = np.empty((2, rows, m))
+    x, dx = buf
 
-    def eval_at(mu):
-        w = batch - mu[:, None]
+    def eval_at():
+        np.subtract(batch, mu[:, None], out=w)
         if rho == 0.5:
-            x = 4.0 / (w * w)  # w < 0 from lo on, as mu only rises
-            dx = x * np.sqrt(x)
+            np.multiply(w, w, out=x)
+            np.divide(4.0, x, out=x)  # w < 0 from lo on, as mu only rises
+            np.sqrt(x, out=dx)
+            np.multiply(x, dx, out=dx)
         elif steep:
-            x = np.power(scale * w, inv_exp)
-            dx = np.power(x, 2.0 - rho)
+            np.multiply(w, scale, out=x)
+            np.power(x, inv_exp, out=x)
+            np.power(x, 2.0 - rho, out=dx)
         else:
-            wp = np.maximum(w, 0.0)
-            x = np.where(w > 0, np.power(scale * wp, inv_exp), 0.0)
-            dx = np.power(x, 2.0 - rho)
-        return x, x.sum(axis=1), dx.sum(axis=1)
+            np.multiply(np.maximum(w, 0.0, out=x), scale, out=x)
+            np.power(x, inv_exp, out=x)
+            np.putmask(x, w <= 0, 0.0)
+            np.power(x, 2.0 - rho, out=dx)
+        return np.add.reduce(buf, axis=2)  # f and -f' at mu, rowwise
 
-    x, s, ds = eval_at(mu)
+    s, ds = eval_at()
     for _ in range(_NEWTON_ITERS):
         resid = s - 1.0
         open_rows = np.abs(resid) > _CLOSE_TOL
         if not open_rows.any():
             break
-        mu = np.where(open_rows, mu + resid / ds, mu)
-        x, s, ds = eval_at(mu)
+        np.putmask(mu, open_rows, mu + resid / ds)
+        s, ds = eval_at()
     resid = np.abs(s - 1.0)
     worst = int(np.argmax(resid))
     if resid[worst] > _FAIL_TOL:

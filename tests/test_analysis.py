@@ -239,6 +239,30 @@ def test_limit_set_of_an_alternating_path_has_two_points():
     assert np.allclose(np.concatenate(est.points[1]), b)
 
 
+def _limit_points_per_row(traj, window_fraction, epsilon):
+    """Reference: each window row against every representative so far."""
+    T = traj.horizon
+    start = T - max(1, int(np.ceil(window_fraction * T)))
+    reps = []
+    for k in range(start, T):
+        if not any(np.abs(traj.x[k] - traj.x[r]).sum() <= epsilon for r in reps):
+            reps.append(k)
+    return reps
+
+
+@pytest.mark.parametrize("epsilon", [0.02, 0.005])
+def test_limit_set_matches_a_per_row_loop(epsilon):
+    game = builtin_game("outside_mp")
+    bandit = Bandit(Schedule(0.1, 0.15))
+    traj = run(game, kernel_from_name("euclidean"), bandit, Schedule(0.2, 0.5), 3000, seed=1)
+    est = estimate_limit_set(traj, epsilon=epsilon)
+    reps = _limit_points_per_row(traj, 0.1, epsilon)
+    assert len(reps) >= 100  # a noisy run with hundreds of representatives
+    assert len(est.points) == len(reps)
+    for point, k in zip(est.points, reps):
+        assert np.concatenate(point).tobytes() == traj.x[k].tobytes()
+
+
 def test_limit_set_window_handles_short_runs():
     rows = [[1.0, 0.0]] * 3
     est = estimate_limit_set(make_traj((2,), rows), window_fraction=0.1)

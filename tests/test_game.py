@@ -28,6 +28,7 @@ from rlgames.game import (
     random_game,
     save_game,
     strictly_dominated_pure,
+    _payoff_vector_unchecked,
     _payoff_vectors_unchecked,
 )
 
@@ -148,11 +149,67 @@ def test_payoff_operator_maps_rows_like_single_profiles(rng):
     g = random_game(rng, (3, 2, 4))
     rows = [rng.dirichlet(np.ones(m), size=6) for m in g.n_actions]
     check_profile(g, rows, rows=True)
-    batch = _payoff_vectors_unchecked(g, rows)
+    batch = _payoff_vectors_unchecked(g, np.concatenate(rows, axis=1))
     for r in range(6):
         alone = payoff_vectors(g, [x[r] for x in rows])
-        for got, want in zip(batch, alone):
-            assert got[r].tobytes() == want.tobytes()
+        assert batch[r].tobytes() == np.concatenate(alone).tobytes()
+
+
+def _payoff_vector_per_player(game, player, xs):
+    """Reference: v_player of R profiles, one opponent axis at a time as
+    multiply-adds in action order, from the player's own tensor."""
+    val = game.payoffs[player][None]
+    for j in range(game.n_players):
+        if j == player:
+            continue
+        x = xs[j]
+        shape = (len(x),) + (1,) * (val.ndim - 2)
+        lead = (slice(None),) * (2 if j > player else 1)
+        acc = val[lead + (0,)] * x[:, 0].reshape(shape)
+        for b in range(1, game.n_actions[j]):
+            acc = acc + val[lead + (b,)] * x[:, b].reshape(shape)
+        val = acc
+    return np.broadcast_to(val, (len(xs[0]), game.n_actions[player]))
+
+
+STACK_GAMES = [(name, None) for name in ("vz4x4", "parity", "spectator", "twisted_mp",
+                                         "outside_mp", "matching_pennies_2p")] + [
+    (None, shape) for shape in ((2, 3), (3, 2, 2), (5, 4, 4), (4, 3, 3, 3), (7, 7), (3,))
+]
+
+
+@pytest.mark.parametrize("rows", [1, 27, 1024])
+@pytest.mark.parametrize("name,shape", STACK_GAMES,
+                         ids=[n or "x".join(map(str, s)) for n, s in STACK_GAMES])
+def test_stacked_operator_matches_a_per_player_contraction(name, shape, rows):
+    rng = np.random.default_rng([rows, len(shape or ()), sum(shape or ())])
+    g = builtin_game(name) if name else random_game(rng, shape)
+    xs = [rng.dirichlet(np.ones(m), size=rows) for m in g.n_actions]
+    for x in xs[:: 2]:
+        # exact zeros, including pure rows, on every other player
+        x[::3, 0] = 0.0
+        x[1::5] = np.eye(len(x[0]))[-1]
+        x /= x.sum(axis=1, keepdims=True)
+    flat = np.concatenate(xs, axis=1)
+    want = [_payoff_vector_per_player(g, i, xs) for i in range(g.n_players)]
+    got = _payoff_vectors_unchecked(g, flat)
+    assert got.tobytes() == np.concatenate(want, axis=1).tobytes()
+    for i in range(g.n_players):
+        assert _payoff_vector_unchecked(g, i, flat).tobytes() == want[i].tobytes()
+    r = rows // 2
+    one = [x[r] for x in xs]
+    assert np.concatenate(payoff_vectors(g, one)).tobytes() == got[r].tobytes()
+    for i in range(g.n_players):
+        assert payoff_vector(g, i, one).tobytes() == want[i][r].tobytes()
+        assert payoff_mixed(g, i, one) == float((want[i][r] * one[i]).sum())
+
+
+def test_stacks_group_each_layout_block_read_only():
+    g = random_game(np.random.default_rng(0), (4, 3, 3, 3))
+    assert [s.players for s in g._stacks] == [slice(0, 1), slice(1, 4)]
+    assert g._stacks is g._stacks  # built once per game
+    for s in g._stacks:
+        assert not s.table.flags.writeable and not s.gather.flags.writeable
 
 
 def test_check_profile_rows_mode_checks_every_row():

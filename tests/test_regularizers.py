@@ -306,6 +306,51 @@ def test_power_newton_failure_names_kernel_row_and_cap(monkeypatch):
         choice_map(kernel_from_name("tsallis"), batch)
 
 
+def _power_choice_reference(kernel, batch):
+    """Reference Newton loop: fresh arrays on every evaluation, one sum per
+    term and a masked update, the same iterates as the map."""
+    rho = kernel.rho
+    scale = rho - 1.0
+    batch = batch - batch.max(axis=1, keepdims=True)
+    mu = np.full(len(batch), -kernel.theta_prime_at_one())
+
+    def eval_at(mu):
+        w = batch - mu[:, None]
+        if rho == 0.5:
+            x = 4.0 / (w * w)
+            dx = x * np.sqrt(x)
+        elif kernel.steep:
+            x = np.power(scale * w, 1.0 / scale)
+            dx = np.power(x, 2.0 - rho)
+        else:
+            x = np.where(w > 0, np.power(scale * np.maximum(w, 0.0), 1.0 / scale), 0.0)
+            dx = np.power(x, 2.0 - rho)
+        return x, x.sum(axis=1), dx.sum(axis=1)
+
+    x, s, ds = eval_at(mu)
+    for _ in range(regularizers._NEWTON_ITERS):
+        resid = s - 1.0
+        open_rows = np.abs(resid) > regularizers._CLOSE_TOL
+        if not open_rows.any():
+            break
+        mu = np.where(open_rows, mu + resid / ds, mu)
+        x, s, ds = eval_at(mu)
+    return x / s[:, None]
+
+
+@pytest.mark.parametrize("name", ["tsallis", "power:0.3", "power:0.8", "power:1.5",
+                                  "power:1.9"])
+def test_power_map_matches_a_reference_newton_loop(name):
+    # all three evaluation branches: rho = 0.5, steep rho < 1, rho > 1
+    k = kernel_from_name(name)
+    rng = np.random.default_rng(int(k.rho * 100))
+    for m in (2, 3, 5):
+        for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4):
+            batch = scale * rng.normal(0.0, 1.0, (64, m))
+            batch[::4, 0] = batch[::4, 1]  # ties
+            assert choice_map(k, batch).tobytes() == _power_choice_reference(k, batch).tobytes()
+
+
 @pytest.mark.parametrize("name", ["tsallis", "power:0.3", "power:1.5"])
 def test_power_newton_closes_rows_far_from_zero(name, monkeypatch):
     # Constant steps over long horizons push scores to about margin * tau.
