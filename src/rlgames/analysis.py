@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError, InputError
-from .faces import Face, DeviationVector, check_face, is_resilient, ResilienceReport
+from .faces import Face, DeviationVector, is_resilient, ResilienceReport
 from .game import (
     Game,
     _correlated_payoffs,
@@ -89,7 +89,7 @@ def energy_series(trajectory: Trajectory, deviation: DeviationVector) -> np.ndar
 # limit sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitSetEstimate:
     """Deduplicated trailing-window profiles standing in for the limit set."""
 

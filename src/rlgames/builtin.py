@@ -97,7 +97,3 @@ def builtin_game(name: str) -> Game:
         known = ", ".join(sorted(BUILTIN_GAMES))
         raise InputError(f"unknown builtin game '{name}' (known: {known})") from None
     return builder()
-
-
-def list_builtin() -> list[str]:
-    return sorted(BUILTIN_GAMES)

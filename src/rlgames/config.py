@@ -11,13 +11,13 @@ import itertools
 import json
 import sys
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .game import Game
-from .learning import Bandit, Clairvoyant, FeedbackKind, Full, Schedule
+from .learning import Bandit, Clairvoyant, FeedbackKind, Schedule
 from .regularizers import kernel_from_name
 
 AUTO_FACES = "auto:minimal_clubs"
@@ -106,12 +106,12 @@ class ExperimentConfig:
     game: str
     kernel: str
     horizon: int
-    feedback: FeedbackKind = field(default_factory=Full)
-    step: Schedule = Schedule(0.2, 0.5)
-    seed: int = 0
-    init: InitSpec = field(default_factory=lambda: GridInit((0.0,), 1, 0.0))
-    faces: str | tuple = AUTO_FACES
-    output: str | None = None
+    feedback: FeedbackKind
+    step: Schedule
+    seed: int
+    init: InitSpec
+    faces: str | tuple
+    output: str | None
 
 
 def _require(data: dict, key: str, kind, what: str):

@@ -103,10 +103,6 @@ def singleton_face(game: Game, actions) -> Face:
     return check_face(game, face)
 
 
-def full_face(game: Game) -> Face:
-    return Face(supports=tuple(tuple(range(m)) for m in game.n_actions))
-
-
 # ---------------------------------------------------------------------------
 # geometry
 
@@ -299,7 +295,7 @@ def is_curb(game: Game, face: Face) -> bool:
 # resilience
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResilienceReport:
     """Per-player minimax certificates for a candidate point set."""
 

@@ -33,7 +33,7 @@ from .errors import InputError
 PROB_ATOL = 1e-9  # mixed strategies must sum to 1 within this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Game:
     """A finite N-player normal-form game.
 
@@ -204,15 +204,6 @@ def pure_profile(game: Game, actions) -> list[np.ndarray]:
         v[a] = 1.0
         out.append(v)
     return out
-
-
-def product_distribution(game: Game, profile) -> np.ndarray:
-    """The joint tensor induced by an independent mixed profile."""
-    xs = check_profile(game, profile)
-    d = xs[0]
-    for v in xs[1:]:
-        d = np.multiply.outer(d, v)
-    return d.reshape(game.n_actions)
 
 
 def _check_pure(game: Game, actions: tuple[int, ...]):
@@ -482,9 +473,3 @@ def load_game(path) -> Game:
         except ValueError as exc:  # also integers past Python's digit limit
             raise InputError(f"could not parse game file: {exc}") from exc
     return game_from_dict(data)
-
-
-def save_game(game: Game, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(game_to_json(game))
-        fh.write("\n")

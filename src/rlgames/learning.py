@@ -72,8 +72,6 @@ class Schedule:
     def value(self, n: int) -> float:
         if n < 1:
             raise InputError("schedules are indexed from 1")
-        if self.exponent == 0.0:
-            return self.base
         return self.base / float(n) ** self.exponent
 
 
@@ -174,7 +172,7 @@ def _explored_unchecked(x, delta, m_col) -> np.ndarray:
 
 
 def sample_actions(explored, uniforms):
-    """Inverse-CDF draws, one uniform per player, each in [0, 1].
+    """Inverse-CDF draws, one uniform per player, each in [0, 1).
 
     For R profiles, `uniforms` is an (R, N) array and so is the result;
     for one profile the actions come back as a list of ints.
@@ -183,8 +181,8 @@ def sample_actions(explored, uniforms):
     rows = np.atleast_2d(u)
     if len(explored) != rows.shape[1]:
         raise InputError("one uniform per player is required")
-    if not ((rows >= 0.0) & (rows <= 1.0)).all():  # NaN fails both
-        raise InputError("uniforms must lie in [0, 1]")
+    if not ((rows >= 0.0) & (rows < 1.0)).all():  # NaN fails both
+        raise InputError("uniforms must lie in [0, 1)")
     xs = [_check_simplex(np.atleast_2d(np.asarray(x, dtype=float))) for x in explored]
     if any(len(x) != len(rows) for x in xs):
         raise InputError("explored rows and uniform rows disagree in number")

@@ -37,7 +37,7 @@ _FMT = "%.17g"
 _CSV_ROWS = 16  # rows per block: larger blocks leave freed heap resident
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Record of one learning run.
 
@@ -142,26 +142,3 @@ def write_trajectory_csv(traj: Trajectory, path, faces=()) -> None:
         for a in range(0, traj.horizon, _CSV_ROWS):
             block = np.concatenate([c[a:a + _CSV_ROWS] for c in columns], axis=1)
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-
-
-def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into {column name: array} (ints stay ints)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError("trajectory CSV is empty") from None
-        rows = list(reader)
-    if not rows:
-        raise InputError("trajectory CSV has a header but no rows")
-    out: dict[str, np.ndarray] = {}
-    columns = list(zip(*rows))
-    if len(columns) != len(header):
-        raise InputError("trajectory CSV rows do not match the header")
-    for name, col in zip(header, columns):
-        if name == "n" or name.startswith("realized_"):
-            out[name] = np.array([int(v) for v in col], dtype=np.int64)
-        else:
-            out[name] = np.array([float(v) for v in col], dtype=float)
-    return out

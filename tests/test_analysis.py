@@ -18,8 +18,8 @@ from rlgames import (
     face_distances,
     face_from_lists,
     fit_rate,
+    is_resilient,
     kernel_from_name,
-    list_builtin,
     pure_profile,
     rate_function,
     regret,
@@ -27,6 +27,7 @@ from rlgames import (
     run,
     singleton_face,
 )
+from rlgames.builtin import BUILTIN_GAMES
 from rlgames.game import make_game, payoff_vector
 
 LOGIT = kernel_from_name("logit")
@@ -137,7 +138,7 @@ def test_realized_regret_uses_sampled_actions(vz):
 
 def test_average_regret_is_small_on_every_builtin():
     T = 10_000
-    for name in list_builtin():
+    for name in sorted(BUILTIN_GAMES):
         g = builtin_game(name)
         traj = run(g, LOGIT, Full(), Schedule(0.2, 0.5), T)
         for i in range(g.n_players):
@@ -360,3 +361,29 @@ def test_fit_parameter_validation(vz_traj):
         fit_rate(vz_traj, face, LOGIT, atol=0.0)
     with pytest.raises(InputError):
         fit_rate(vz_traj, face, LOGIT, atol=0.1, window=0.05)
+
+
+# ---------------------------------------------------------------------------
+# records that hold arrays compare by identity
+
+
+def parity_run():
+    return run(builtin_game("parity"), LOGIT, Full(), Schedule(0.2, 0.5), 50, seed=4)
+
+
+def parity_report():
+    game = builtin_game("parity")
+    return is_resilient(game, [pure_profile(game, (0, 0, 0))])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_game("parity"),
+    parity_run,
+    lambda: estimate_limit_set(parity_run()),
+    parity_report,
+], ids=["Game", "Trajectory", "LimitSetEstimate", "ResilienceReport"])
+def test_array_records_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a
+    assert not a == b and a != b  # equal values, no elementwise comparison
+    assert len({a, b, a}) == 2

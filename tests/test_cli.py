@@ -1,15 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from rlgames import (
-    builtin_game,
-    list_builtin,
-    minimal_clubs,
-    read_trajectory_csv,
-    save_game,
-)
+from rlgames import builtin_game, game_to_json, minimal_clubs
+from rlgames.builtin import BUILTIN_GAMES
 from rlgames.cli import analyze_game, main
 from rlgames.experiments import _face_key
 from rlgames.game import make_game
@@ -54,7 +50,7 @@ def test_analyze_builtin_stdout(capsys):
 
 def test_analyze_game_file(tmp_path, capsys):
     path = tmp_path / "mp.json"
-    save_game(builtin_game("matching_pennies_2p"), path)
+    path.write_text(game_to_json(builtin_game("matching_pennies_2p")))
     assert main(["analyze", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["n_players"] == 2
@@ -89,7 +85,7 @@ def test_analyze_enumerates_the_face_lattice_once(monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_clubs", counted(faces.enumerate_clubs))
     monkeypatch.setattr(faces, "enumerate_clubs", counted(faces.enumerate_clubs))
-    for name in list_builtin():
+    for name in sorted(BUILTIN_GAMES):
         calls.clear()
         report = analyze_game(name)
         assert len(calls) == 1, name
@@ -152,8 +148,10 @@ def test_run_with_bad_config_json(tmp_path, capsys):
 
 def last_csv_distances(path, faces):
     """The last row's dist_k values of a trajectory CSV, keyed by face."""
-    cols = read_trajectory_csv(path)
-    return {face: float(cols[f"dist_{k}"][-1]) for k, face in enumerate(faces)}
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    last = dict(zip(rows[0], rows[-1]))
+    return {face: float(last[f"dist_{k}"]) for k, face in enumerate(faces)}
 
 
 def test_run_report_distances_are_the_csv_last_row(tmp_path, capsys):

@@ -1,10 +1,14 @@
+import ast
 import builtins
 import re
 from pathlib import Path
 
 import rlgames
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SRC = ROOT / "src" / "rlgames"
+DEMOS = ROOT / "demos"
 
 
 def test_readme_calls_name_the_api():
@@ -30,3 +34,51 @@ def test_all_names_resolve_once():
     missing = [name for name in rlgames.__all__ if not hasattr(rlgames, name)]
     assert missing == []
     assert len(set(rlgames.__all__)) == len(rlgames.__all__)
+
+
+def module_trees(folder, skip=()):
+    for path in sorted(folder.glob("*.py")):
+        if path.name not in skip:
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_module_imports_are_used():
+    """Every module-level import in a package module is read somewhere in it."""
+    unused = []
+    for name, tree in module_trees(SRC, skip={"__init__.py"}):
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+# exported, with no caller in the package or the demos
+UNCALLED_EXPORTS = {
+    "deviation_vectors",  # per-swap energies for ROADMAP items 1-2
+    "game_to_json",  # the canonical writer the game fixtures are pinned to
+    "payoff_mixed",  # timed by perfbench/worker.py
+    "payoff_vectors",  # timed by perfbench/worker.py
+    "sample_actions",  # timed by perfbench/worker.py
+    "uniform_table",  # the draw contract that README's Determinism section states
+}
+
+
+def test_every_export_has_a_caller():
+    """Each name in ``rlgames.__all__`` is read in the package outside
+    ``__init__.py`` and its own definition, or in a demo, or is listed above."""
+    read = set()
+    for _, tree in [*module_trees(SRC, skip={"__init__.py"}), *module_trees(DEMOS)]:
+        for stmt in tree.body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            read |= names
+    uncalled = {name for name in rlgames.__all__ if name not in read}
+    assert uncalled == UNCALLED_EXPORTS

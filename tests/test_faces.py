@@ -19,16 +19,15 @@ from rlgames import (
     enumerate_pure_nash,
     face_from_lists,
     face_margins,
-    full_face,
     is_club,
     is_curb,
     is_resilient,
-    list_builtin,
     minimal_clubs,
     pure_profile,
     random_game,
     singleton_face,
 )
+from rlgames.builtin import BUILTIN_GAMES
 from rlgames.game import Game, make_game, payoff_mixed, payoff_pure, payoff_vector
 from rlgames.minimax_lp import solve_minimax_lp
 
@@ -93,7 +92,7 @@ def test_face_containment():
 
 def test_singleton_and_full_helpers(vz):
     assert singleton_face(vz, (3, 1)).supports == ((3,), (1,))
-    assert full_face(vz).supports == ((0, 1, 2, 3), (0, 1, 2, 3))
+    assert face_from_lists([range(4)] * 2).supports == ((0, 1, 2, 3), (0, 1, 2, 3))
     with pytest.raises(InputError):
         singleton_face(vz, (0, 7))
 
@@ -120,7 +119,7 @@ def test_deviation_vectors_order_and_count(vz):
         DeviationVector(1, 0, 1), DeviationVector(1, 0, 3),
         DeviationVector(1, 2, 1), DeviationVector(1, 2, 3),
     ]
-    assert deviation_vectors(vz, full_face(vz)) == []
+    assert deviation_vectors(vz, face_from_lists([range(4)] * 2)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +129,8 @@ def test_deviation_vectors_order_and_count(vz):
 def test_club_margins_on_known_faces(vz):
     assert club_margin(vz, singleton_face(vz, (0, 0))) == pytest.approx(1 / 3)
     assert club_margin(vz, face_from_lists(SQUARE)) == pytest.approx(-2 / 3)
-    assert club_margin(vz, full_face(vz)) == np.inf
-    assert is_club(vz, full_face(vz))
+    assert club_margin(vz, face_from_lists([range(4)] * 2)) == np.inf
+    assert is_club(vz, face_from_lists([range(4)] * 2))
     assert not is_club(vz, face_from_lists(SQUARE))
 
 
@@ -320,7 +319,7 @@ def test_curb_separates_from_club(vz):
 
 
 def test_every_club_is_curb():
-    for name in list_builtin():
+    for name in sorted(BUILTIN_GAMES):
         game = builtin_game(name)
         for face in enumerate_clubs(game):
             assert is_curb(game, face), (name, face)

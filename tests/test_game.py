@@ -23,10 +23,8 @@ from rlgames.game import (
     payoff_pure,
     payoff_vector,
     payoff_vectors,
-    product_distribution,
     pure_profile,
     random_game,
-    save_game,
     strictly_dominated_pure,
     _payoff_vector_unchecked,
     _payoff_vectors_unchecked,
@@ -244,14 +242,14 @@ def test_payoff_bound_is_max_abs_entry():
 
 def test_deviation_gap_is_zero_at_a_strict_pure_equilibrium():
     g = vz4x4()
-    d = product_distribution(g, pure_profile(g, (0, 0)))
+    d = np.multiply.outer(*pure_profile(g, (0, 0)))
     assert deviation_gap(g, 0, d) == pytest.approx(0.0, abs=1e-15)
     assert deviation_gap(g, 1, d) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_deviation_gap_positive_off_equilibrium():
     g = matching_pennies_2p()
-    d = product_distribution(g, pure_profile(g, (0, 0)))
+    d = np.multiply.outer(*pure_profile(g, (0, 0)))
     # the column player wants to switch away from matching
     assert deviation_gap(g, 1, d) > 0
 
@@ -356,7 +354,7 @@ def test_json_round_trip_is_exact(rng):
 def test_file_round_trip(tmp_path):
     g = vz4x4()
     path = tmp_path / "g.json"
-    save_game(g, path)
+    path.write_text(game_to_json(g))
     back = load_game(path)
     for i in range(2):
         assert np.array_equal(back.payoffs[i], g.payoffs[i])
@@ -394,18 +392,3 @@ def test_load_game_rejects_bad_json(tmp_path):
 
 def test_game_to_json_is_stable():
     assert game_to_json(parity()) == game_to_json(parity())
-
-
-def test_product_distribution_matches_outer_product(rng):
-    g = random_game(rng, (2, 2, 2))
-    xs = [rng.dirichlet(np.ones(2)) for _ in range(3)]
-    d = product_distribution(g, xs)
-    want = np.einsum("i,j,k->ijk", *xs)
-    assert np.allclose(d, want, atol=0)
-    assert payoff_mixed(g, 0, xs) == pytest.approx(
-        deviation_free_value(g, 0, d), abs=1e-12
-    )
-
-
-def deviation_free_value(game, player, dist):
-    return float((game.payoffs[player] * dist).sum())

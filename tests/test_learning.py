@@ -137,7 +137,13 @@ def test_sample_actions_inverse_cdf():
     assert sample_actions(x, [0.25, 0.1]) == [0, 0]
     assert sample_actions(x, [0.75, 0.4]) == [1, 1]
     assert sample_actions(x, [0.999, 0.999]) == [1, 2]
-    assert sample_actions(x, [1.0, 1.0]) == [1, 2]  # boundary stays in range
+    # uniforms lie in [0, 1): the largest one below 1 never draws a trailing
+    # action of probability 0, and 1 itself is rejected
+    top = np.nextafter(1.0, 0.0)
+    assert sample_actions(x, [top, top]) == [1, 2]
+    assert sample_actions([np.array([0.5, 0.5, 0.0])], [top]) == [1]
+    with pytest.raises(InputError, match=r"\[0, 1\)"):
+        sample_actions([np.array([0.5, 0.5, 0.0])], [1.0])
 
 
 def test_sample_actions_errors():
@@ -148,7 +154,7 @@ def test_sample_actions_errors():
     with pytest.raises(InputError, match="disagree in number"):
         sample_actions(rows, np.full((3, 2), 0.5))
     for uniforms in ([1.5, -0.5], [np.nan, 7.0]):  # unchecked, [1, 0] and [0, 2]
-        with pytest.raises(InputError, match=r"\[0, 1\]"):
+        with pytest.raises(InputError, match=r"\[0, 1\)"):
             sample_actions(x, uniforms)
 
 
@@ -168,7 +174,7 @@ def test_sample_actions_rejects_rows_off_the_simplex(row, fragment):
 def test_sample_actions_rows_follow_searchsorted(rng):
     explored = [rng.dirichlet(np.ones(m), size=40) for m in (2, 3, 5)]
     uniforms = rng.random((40, 3))
-    uniforms[0] = 1.0
+    uniforms[0] = np.nextafter(1.0, 0.0)
     got = sample_actions(explored, uniforms)
     assert got.shape == (40, 3)
     for r in range(40):
