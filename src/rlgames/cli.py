@@ -13,11 +13,10 @@ JSON object on stderr so callers never have to scrape tracebacks.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import RLGamesError
-from .experiments import _face_key, load_game_spec, run_batch, run_experiment
+from .experiments import _face_key, _write_json, load_game_spec, run_batch, run_experiment
 from .faces import _minimal_faces, club_margin, enumerate_clubs
 from .game import enumerate_pure_nash, strictly_dominated_pure
 from .config import config_from_json
@@ -45,25 +44,19 @@ def analyze_game(spec: str) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    report = analyze_game(args.game)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(analyze_game(args.game), sys.stdout)
     return 0
 
 
 def _cmd_run(args) -> int:
-    config = config_from_json(args.config)
-    _, report = run_experiment(config, out_dir=args.output)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _, report = run_experiment(config_from_json(args.config), out_dir=args.output)
+    _write_json(report, sys.stdout)
     return 0
 
 
 def _cmd_batch(args) -> int:
-    config = config_from_json(args.config)
-    _, aggregate = run_batch(config, out_dir=args.output)
-    json.dump(aggregate, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _, aggregate = run_batch(config_from_json(args.config), out_dir=args.output)
+    _write_json(aggregate, sys.stdout)
     return 0
 
 
@@ -72,9 +65,7 @@ def _cmd_verify(args) -> int:
         for cid, title in list_checks():
             print(f"{cid}  {title}")
         return 0
-    filter_ids = None
-    if args.filter:
-        filter_ids = [part.strip() for part in args.filter.split(",") if part.strip()]
+    filter_ids = [part.strip() for part in (args.filter or "").split(",") if part.strip()]
     results = run_suite(filter_ids=filter_ids)
     return 0 if all(r.passed for r in results) else 1
 
@@ -112,19 +103,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except RLGamesError as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sys.stderr,
-            indent=2,
-        )
-        sys.stderr.write("\n")
-        return 2
-    except OSError as exc:
-        json.dump(
-            {"error": "OSError", "message": str(exc)}, sys.stderr, indent=2
-        )
-        sys.stderr.write("\n")
+    except (RLGamesError, OSError) as exc:
+        name = type(exc).__name__ if isinstance(exc, RLGamesError) else "OSError"
+        _write_json({"error": name, "message": str(exc)}, sys.stderr)
         return 2
 
 

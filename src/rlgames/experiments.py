@@ -61,6 +61,13 @@ def _perturbed_starts(config: ExperimentConfig, game: Game):
     return out
 
 
+def _write_json(obj, fh) -> None:
+    """Write `obj` to the text stream `fh` as one JSON document: two-space
+    indent, then a newline. Every report and error document goes out here."""
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
+
+
 def _face_key(face: Face) -> str:
     return "x".join("{" + ",".join(str(a) for a in s) + "}" for s in face.supports)
 
@@ -141,8 +148,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
         target.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, target / "trajectory.csv", faces=faces)
         with open(target / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            _write_json(report, fh)
     return traj, report
 
 
@@ -204,6 +210,5 @@ def run_batch(config: ExperimentConfig, out_dir=None):
     summaries, aggregate = execute_batch(config, out_dir=target)
     if target is not None:
         with open(Path(target) / "aggregate.json", "w", encoding="utf-8") as fh:
-            json.dump(aggregate, fh, indent=2)
-            fh.write("\n")
+            _write_json(aggregate, fh)
     return summaries, aggregate

@@ -78,9 +78,12 @@ class Game:
         return tuple(_Stack(self, players, cols)
                      for players, cols, _ in _layout(self.n_actions).blocks)
 
-    def profiles(self):
-        """Iterate over all pure action profiles in row-major order."""
-        return itertools.product(*(range(m) for m in self.n_actions))
+    @functools.cached_property
+    def _payoff_stack(self) -> np.ndarray:
+        """The payoff tensors as one read-only (N, *n_actions) array."""
+        stack = np.stack(self.payoffs)
+        stack.flags.writeable = False
+        return stack
 
 
 def make_game(payoffs) -> Game:

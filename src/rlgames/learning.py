@@ -43,6 +43,7 @@ and batches stay reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -54,6 +55,11 @@ from .trajectory import Trajectory
 
 _INIT_STREAM = 0xFFFFFFFF  # reserved substream for initial-score perturbation
 _DERIVE_ROWS = 1024  # steps per block of uniform draws and of derived rows
+
+
+def _is_count(n) -> bool:
+    """Whether `n` is an integer of at least 1 (a bool is not a count)."""
+    return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,11 @@ class Clairvoyant:
     label = "clairvoyant"
 
     def __post_init__(self):
-        if not np.isfinite(self.tol) or self.tol <= 0:
-            raise InputError("clairvoyant tolerance must be positive")
-        if self.max_iters < 1:
-            raise InputError("clairvoyant iteration cap must be at least 1")
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, Real)
+                or not 0 < self.tol < np.inf):
+            raise InputError("clairvoyant tolerance must be a positive real number")
+        if not _is_count(self.max_iters):
+            raise InputError("clairvoyant iteration cap must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -125,6 +132,8 @@ class Bandit:
 
 
 FeedbackKind = Full | Optimistic | MirrorProx | Clairvoyant | Bandit
+# the kinds whose gain depends on the scores, so the step loop records vhat
+_RECORDED = (MirrorProx, Clairvoyant)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +155,9 @@ def uniform_table(seed: int, n_players: int, horizon: int) -> np.ndarray:
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
-    """Stable per-run seed for batch execution."""
+    """Stable per-run seed for batch execution; both inputs must be >= 0."""
+    if master_seed < 0 or run_index < 0:
+        raise InputError("master seed and run index must be nonnegative")
     ss = np.random.SeedSequence([int(master_seed), int(run_index)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -224,7 +235,7 @@ def iwe(game: Game, explored, realized):
         raise InputError(
             f"realized action {acts[r, i]} has zero sampling probability for player {i}"
         )
-    out = _iwe_unchecked(np.stack(game.payoffs), layout.offsets, x, acts)
+    out = _iwe_unchecked(game._payoff_stack, layout.offsets, x, acts)
     out = layout.split(out)
     return out if rows else [v[0] for v in out]
 
@@ -274,49 +285,24 @@ def _gain(feedback, payoffs, offsets, v=None, v_prev=None, xhat=None, acts=None)
     return v
 
 
-def _summands(game, feedback, name, x, acts, vhat, deltas, v_before):
-    """Rows of the derived field `name` for consecutive recorded steps.
-
-    `x` holds flat (B, D) rows of one run, `acts` and `deltas` its realized
-    actions and exploration weights, `vhat` its recorded gains (mirror-prox
-    and clairvoyant feedback; None when :func:`_gain` rebuilds them) and
-    `v_before` the (1, D) field of the step before (None at step 1, where
-    x_0 := x_1). Noise is vhat less its mean, v(xhat) under bandit feedback
-    and vhat otherwise; bias is that mean less v(x), except that optimistic
-    feedback defines it as v(x_n) - v(x_{n-1}). Returns the (B, D) rows of
-    v(x) and of `name`, or (B, N) for the regret summands ``gaps``.
-    """
-    layout = _layout(game.n_actions)
-    v = _field(game, x)
-    if name == "gaps":
-        return v, np.stack(
-            [g.max(axis=1) - (g * xi).sum(axis=1)
-             for g, xi in zip(layout.split(v), layout.split(x))], axis=1
-        )
-    v_prev = np.concatenate([v[:1] if v_before is None else v_before, v[:-1]])
-    bandit = isinstance(feedback, Bandit)
-    # the explored profile, as the step drew from it
-    xhat = _explored_unchecked(x, deltas[:, None], layout.m_col) if bandit else None
-    if vhat is None:
-        vhat = _gain(feedback, np.stack(game.payoffs), layout.offsets, v, v_prev, xhat, acts)
-    if name == "vhat":
-        return v, vhat
-    mean = _field(game, xhat) if bandit else vhat
-    if name == "noise":
-        return v, vhat - mean
-    return v, (v - v_prev if isinstance(feedback, Optimistic) else mean - v)
-
-
 @dataclass(frozen=True)
 class _Derivation:
     """Derives the fields the step loop does not store, for every
     trajectory of one :func:`run_many` call.
 
     `deltas` holds the exploration weight of every step (bandit feedback
-    only). A call returns the one field it is asked for. Scores are summed
-    from vhat; vhat (where the step did not record it), bias, noise and
-    gaps each come from their own pass of :func:`_summands`, in blocks of
-    at most ``_DERIVE_ROWS`` steps, so a read caches only that field.
+    only). A call returns the one field it is asked for, so a read caches
+    only that field. Scores are summed from vhat. The other fields take
+    one pass over the recorded rows, in blocks of at most ``_DERIVE_ROWS``
+    steps, each block evaluating v(x) once and carrying its last row into
+    the next as v(x_{n-1}) (x_0 := x_1 at step 1):
+
+    - gaps: the (T, N) regret summands max_a v_i(x)_a - <v_i(x), x_i>;
+    - vhat: from :func:`_gain` unless the step recorded it;
+    - noise: vhat less its mean, v(xhat) under bandit feedback and vhat
+      otherwise;
+    - bias: that mean less v(x), except that optimistic feedback defines
+      it as v(x_n) - v(x_{n-1}).
     """
 
     game: Game
@@ -330,18 +316,34 @@ class _Derivation:
             scores[0] = traj.y0
             np.multiply(traj.gamma[:-1, None], traj.vhat[:-1], out=scores[1:])
             return np.cumsum(scores, axis=0, out=scores)
-        recorded = traj.vhat if isinstance(self.feedback, (MirrorProx, Clairvoyant)) else None
+        game, feedback = self.game, self.feedback
+        layout = _layout(game.n_actions)
+        bandit = isinstance(feedback, Bandit)
+        recorded = traj.vhat if isinstance(feedback, _RECORDED) else None
         out = np.empty((traj.horizon, traj.n_players) if name == "gaps" else traj.x.shape)
         v_last = None
         for a in range(0, traj.horizon, _DERIVE_ROWS):
             rows = slice(a, a + _DERIVE_ROWS)
-            v, out[rows] = _summands(
-                self.game, self.feedback, name, traj.x[rows], traj.realized[rows],
-                None if recorded is None else recorded[rows],
-                None if self.deltas is None else self.deltas[rows],
-                v_last,
-            )
+            x = traj.x[rows]
+            v = _field(game, x)
+            if name == "gaps":
+                for i, (g, xi) in enumerate(zip(layout.split(v), layout.split(x))):
+                    out[rows, i] = g.max(axis=1) - (g * xi).sum(axis=1)
+                continue
+            v_prev = np.concatenate([v[:1] if v_last is None else v_last, v[:-1]])
             v_last = v[-1:]
+            # the explored profile, as the step drew from it
+            xhat = (_explored_unchecked(x, self.deltas[rows, None], layout.m_col)
+                    if bandit else None)
+            vhat = recorded[rows] if recorded is not None else _gain(
+                feedback, game._payoff_stack, layout.offsets, v, v_prev, xhat, traj.realized[rows])
+            if name == "vhat":
+                out[rows] = vhat
+            elif name == "bias" and isinstance(feedback, Optimistic):
+                out[rows] = v - v_prev
+            else:
+                mean = _field(game, xhat) if bandit else vhat
+                out[rows] = vhat - mean if name == "noise" else mean - v
         return out
 
 
@@ -407,7 +409,7 @@ def run_many(
     raise :class:`InputError` naming the step, the run and its seed; a
     record too large to allocate raises :class:`ResourceLimitError`.
     """
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+    if not _is_count(horizon):
         raise InputError("horizon must be a positive integer")
     if not isinstance(feedback, FeedbackKind):
         raise InputError(f"unknown feedback kind {feedback!r}")
@@ -419,8 +421,7 @@ def run_many(
     layout = _layout(game.n_actions)
     R, N, D, T = len(seeds), game.n_players, layout.dim, int(horizon)
     bandit = isinstance(feedback, Bandit)
-    # only these gains depend on the scores, so only they are recorded
-    recorded = isinstance(feedback, (MirrorProx, Clairvoyant))
+    recorded = isinstance(feedback, _RECORDED)
     try:
         if bandit:
             # each player's next _DERIVE_ROWS draws, per run
@@ -439,7 +440,7 @@ def run_many(
             f"D = {D} coordinates: {exc}"
         ) from None
 
-    payoffs = np.stack(game.payoffs)  # for the estimate
+    payoffs = game._payoff_stack  # for the estimate
     streams = [[player_stream(s, i) for i in range(N)] for s in seeds] if bandit else ()
     scores = np.stack(y0s)
     x = _choice_blocks(kernel, scores, layout.blocks)

@@ -69,6 +69,7 @@ class Trajectory:
     _derived: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self, vhat):
+        self.n_actions = tuple(int(m) for m in self.n_actions)
         if vhat is not None:
             self._derived["vhat"] = vhat
 

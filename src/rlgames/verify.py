@@ -56,24 +56,31 @@ from .regularizers import choice_map, conjugate, kernel_from_name
 from .trajectory import face_distances
 
 
-@dataclass
-class CheckResult:
+@dataclass(frozen=True)
+class Check:
     cid: str
     title: str
+    budget: float | None
+    warm: bool  # time a second pass (sub-second budgets only)
+    fn: object
+
+
+@dataclass
+class CheckResult:
+    """One check's verdict; a check that raised has its error in `measured`."""
+
+    check: Check
     passed: bool
     measured: str
     tolerance: str
     runtime: float
-    budget: float | None
-    error: str | None = None
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        budget = f"/{self.budget:g}s" if self.budget is not None else ""
-        body = self.error if self.error is not None else self.measured
+        budget = f"/{self.check.budget:g}s" if self.check.budget is not None else ""
         return (
-            f"{self.cid}  {verdict}  {self.title}\n"
-            f"      measured: {body}\n"
+            f"{self.check.cid}  {verdict}  {self.check.title}\n"
+            f"      measured: {self.measured}\n"
             f"      tolerance: {self.tolerance}   runtime: {self.runtime:.3f}s{budget}"
         )
 
@@ -168,14 +175,6 @@ _NORM_PAIRS = {
 _STRONG_CONVEXITY = 1.0
 
 
-def _row_norm(a, order):
-    if order == 1:
-        return np.abs(a).sum(axis=1)
-    if order == 2:
-        return np.sqrt((a * a).sum(axis=1))
-    return np.abs(a).max(axis=1)
-
-
 def _check_mirror_maps(ctx):
     rng = np.random.default_rng(704)
     worst = {"feas": 0.0, "shift": 0.0, "grad": 0.0, "lower": 0.0, "upper": 0.0}
@@ -206,11 +205,11 @@ def _check_mirror_maps(ctx):
             p = rng.dirichlet(np.ones(m), size=B)
             h_p = k.theta(p).sum(axis=1)
             F = h_p + conjugate(k, y) - (y * p).sum(axis=1)
-            gap_lower = 0.5 * K * _row_norm(x - p, prim) ** 2 - F
+            gap_lower = 0.5 * K * np.linalg.norm(x - p, prim, axis=1) ** 2 - F
             worst["lower"] = max(worst["lower"], float(gap_lower.max()))
             d = rng.normal(0.0, 1.0, (B, m))
             F_moved = h_p + conjugate(k, y + d) - ((y + d) * p).sum(axis=1)
-            upper = F + ((x - p) * d).sum(axis=1) + _row_norm(d, dual) ** 2 / (2 * K)
+            upper = F + ((x - p) * d).sum(axis=1) + np.linalg.norm(d, dual, axis=1) ** 2 / (2 * K)
             worst["upper"] = max(worst["upper"], float((F_moved - upper).max()))
     ok = (
         worst["feas"] < 1e-12
@@ -457,15 +456,6 @@ def _check_determinism(ctx):
 # registry and driver
 
 
-@dataclass(frozen=True)
-class Check:
-    cid: str
-    title: str
-    budget: float | None
-    warm: bool  # time a second pass (sub-second budgets only)
-    fn: object
-
-
 CHECKS = (
     Check("c01", "correlated replay gap on vz4x4 equals -1/6", 0.001, True,
           _check_replay_gap),
@@ -506,26 +496,9 @@ def run_check(check: Check, ctx: dict) -> CheckResult:
         if check.budget is not None and elapsed > check.budget:
             ok = False
             measured += f" [over budget: {elapsed:.3f}s > {check.budget:g}s]"
-        return CheckResult(
-            cid=check.cid,
-            title=check.title,
-            passed=bool(ok),
-            measured=measured,
-            tolerance=tolerance,
-            runtime=elapsed,
-            budget=check.budget,
-        )
+        return CheckResult(check, bool(ok), measured, tolerance, elapsed)
     except Exception as exc:  # a crash is a failed check, not a crashed suite
-        return CheckResult(
-            cid=check.cid,
-            title=check.title,
-            passed=False,
-            measured="",
-            tolerance="",
-            runtime=0.0,
-            budget=check.budget,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return CheckResult(check, False, f"{type(exc).__name__}: {exc}", "", 0.0)
 
 
 def run_suite(filter_ids=None, printer=print) -> list[CheckResult]:

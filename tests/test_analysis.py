@@ -164,7 +164,7 @@ def test_replay_regret_matches_a_per_distribution_loop():
         values = []
         for d in dists:
             fixed = np.zeros(game.n_actions[i])
-            for prof in game.profiles():
+            for prof in np.ndindex(*game.n_actions):
                 values_at = [u[prof[:i] + (a,) + prof[i + 1 :]] for a in range(len(fixed))]
                 fixed += d[prof] * np.array(values_at)
             per_action.append(fixed)

@@ -101,9 +101,10 @@ def test_run_writes_outputs_and_prints_the_report(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "-o", str(out)]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    on_disk = json.loads((out / "report.json").read_text())
-    assert printed == on_disk
+    stdout = capsys.readouterr().out
+    # stdout carries the very bytes of report.json
+    assert stdout.encode() == (out / "report.json").read_bytes()
+    printed = json.loads(stdout)
     assert printed["horizon"] == 50
     assert printed["kernel"] == "logit"
     assert set(printed["final_distances"]) == {"{0}x{0}", "{2}x{2}"}
@@ -229,6 +230,41 @@ def test_run_with_missing_config_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "OSError"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["analyze", "atlantis"], "InputError"),
+    (["run", "no/such/config.json"], "OSError"),
+], ids=["InputError", "OSError"])
+def test_error_documents_are_two_space_json_and_one_newline(capsys, argv, error):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert list(doc) == ["error", "message"] and doc["error"] == error
+    assert captured.err == json.dumps(doc, indent=2) + "\n"
+    assert captured.err.startswith('{\n  "error": ') and not captured.err.endswith("\n\n")
+
+
+@pytest.mark.parametrize("command, report", [("run", "report.json"),
+                                             ("batch", "aggregate.json")])
+def test_the_config_output_field_is_written_unless_o_overrides_it(
+        tmp_path, capsys, command, report):
+    configured = tmp_path / "configured"
+    cfg = write_config(tmp_path, horizon=20, output=str(configured))
+    assert main([command, str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    assert (configured / report).read_bytes() == stdout.encode()
+    csvs = sorted(p.name for p in configured.glob("*.csv"))
+    assert csvs == (["trajectory.csv"] if command == "run" else ["run_000.csv"])
+
+    given = tmp_path / "given"
+    assert main([command, str(cfg), "-o", str(given)]) == 0
+    assert (given / report).read_bytes() == capsys.readouterr().out.encode()
+    assert sorted(p.name for p in given.iterdir()) == sorted(csvs + [report])
+    # the configured directory is left as the first call wrote it
+    assert (configured / report).read_bytes() == stdout.encode()
+    assert sorted(p.name for p in configured.iterdir()) == sorted(csvs + [report])
+
+
 @pytest.mark.parametrize("feedback", [{}, BANDIT], ids=["full", "bandit"])
 def test_a_horizon_past_any_allocation_exits_2(tmp_path, capsys, feedback):
     # no machine holds 10**30 steps; the record's shape is refused before
@@ -254,15 +290,16 @@ def test_batch_of_one_matches_the_single_run(tmp_path, capsys):
     assert main(["run", str(run_cfg), "-o", str(run_out)]) == 0
     capsys.readouterr()
     assert main(["batch", str(batch_cfg), "-o", str(batch_out)]) == 0
-    aggregate = json.loads(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    # stdout carries the very bytes of aggregate.json
+    assert stdout.encode() == (batch_out / "aggregate.json").read_bytes()
+    aggregate = json.loads(stdout)
 
     assert aggregate["runs"] == 1
     assert aggregate["per_run"][0]["run"] == 0
     same = (batch_out / "run_000.csv").read_bytes() == \
         (run_out / "trajectory.csv").read_bytes()
     assert same
-    on_disk = json.loads((batch_out / "aggregate.json").read_text())
-    assert on_disk == aggregate
     report = json.loads((run_out / "report.json").read_text())
     assert report["final_distances"] == aggregate["per_run"][0]["final_distances"]
 
@@ -335,6 +372,27 @@ def test_verify_catches_a_broken_engine(monkeypatch):
     broken = make_game(tables)
     monkeypatch.setattr(verify, "builtin_game",
                         lambda name: broken if name == "vz4x4" else builtin_game(name))
-    results = verify.run_suite(filter_ids=["c01"], printer=lambda *_: None)
+    printed = []
+    results = verify.run_suite(filter_ids=["c01"], printer=printed.append)
     assert len(results) == 1
     assert not results[0].passed
+    assert printed[0].startswith("c01  FAIL  correlated replay gap on vz4x4 equals -1/6\n")
+    assert "measured: gap error 1." in printed[0]
+    assert printed[1] == "0/1 checks passed"
+
+
+def test_a_check_that_raises_prints_its_error_as_measured(monkeypatch):
+    def crash(ctx):
+        raise RuntimeError("engine on fire")
+
+    check = verify.Check("c01", "a check that raises", 0.5, True, crash)
+    monkeypatch.setattr(verify, "CHECKS", (check,))
+    printed = []
+    results = verify.run_suite(printer=printed.append)
+    assert [r.check for r in results] == [check] and not results[0].passed
+    assert printed == [
+        "c01  FAIL  a check that raises\n"
+        "      measured: RuntimeError: engine on fire\n"
+        "      tolerance:    runtime: 0.000s/0.5s",
+        "0/1 checks passed",
+    ]

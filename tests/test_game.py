@@ -114,7 +114,7 @@ def test_payoff_mixed_is_multilinear(rng):
     for _ in range(10):
         xs = [rng.dirichlet(np.ones(m)) for m in g.n_actions]
         want = 0.0
-        for prof in g.profiles():
+        for prof in np.ndindex(*g.n_actions):
             w = np.prod([xs[i][a] for i, a in enumerate(prof)])
             want += w * g.payoffs[1][prof]
         assert payoff_mixed(g, 1, xs) == pytest.approx(want, abs=1e-12)

@@ -121,6 +121,12 @@ def test_perturbation_stream_is_its_own_substream():
     assert np.array_equal(perturbation_stream(7).random(5), pert)
 
 
+@pytest.mark.parametrize("args", [(-1, 0), (0, -1)])
+def test_derive_run_seed_rejects_negative_inputs(args):
+    with pytest.raises(InputError, match="nonnegative"):
+        derive_run_seed(*args)
+
+
 def test_derive_run_seed_is_stable_and_spread():
     assert derive_run_seed(99, 3) == derive_run_seed(99, 3)
     seeds = {derive_run_seed(99, i) for i in range(50)}
@@ -315,6 +321,21 @@ def test_clairvoyant_parameter_validation():
         Clairvoyant(max_iters=0)
 
 
+@pytest.mark.parametrize("bad", [{"max_iters": 2.5}, {"max_iters": True}, {"max_iters": "9"},
+                                 {"tol": "1e-8"}, {"tol": True}, {"tol": float("nan")},
+                                 {"tol": math.inf}, {"tol": 1j}])
+def test_clairvoyant_rejects_mistyped_parameters(bad):
+    with pytest.raises(InputError):
+        Clairvoyant(**bad)
+
+
+def test_clairvoyant_accepts_numpy_scalars(vz):
+    fb = Clairvoyant(tol=np.float64(1e-12), max_iters=np.int64(50))
+    traj = run(vz, LOGIT, fb, Schedule(0.4, 0.0), 3)
+    want = run(vz, LOGIT, Clairvoyant(tol=1e-12, max_iters=50), Schedule(0.4, 0.0), 3)
+    assert np.array_equal(traj.vhat, want.vhat)
+
+
 def test_bandit_step_decomposition(vz):
     fb = Bandit(exploration=Schedule(0.1, 0.15))
     traj = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 2, seed=42)
@@ -389,9 +410,11 @@ def test_unknown_feedback_kind_is_rejected(vz):
 
 
 def test_run_validates_horizon(vz):
-    for bad in (0, -3, 2.5):
+    for bad in (0, -3, 2.5, True, False):
         with pytest.raises(InputError):
             run(vz, LOGIT, Full(), Schedule(0.1, 0.5), bad)
+    with pytest.raises(InputError, match="horizon"):
+        run_many(vz, LOGIT, Full(), Schedule(0.1, 0.5), True, [(0, None)])
 
 
 def test_run_shapes_and_columns(vz):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from rlgames import (
     kernel_from_name,
     minimal_clubs,
     random_game,
+    regret,
     run,
     singleton_face,
     write_trajectory_csv,
@@ -49,6 +51,21 @@ def test_trajectory_layout(traj):
     assert traj.player_slice(1) == slice(4, 8)
     with pytest.raises(InputError):
         traj.player_slice(2)
+
+
+def test_list_action_counts_become_a_tuple_of_ints(tmp_path, vz, traj):
+    # a record built with a list behaves exactly as the engine's tuple one
+    listed = dataclasses.replace(traj, n_actions=[np.int64(4), 4])
+    assert listed.n_actions == (4, 4)
+    assert all(type(m) is int for m in listed.n_actions)
+    assert listed.dim == traj.dim
+    assert all(np.array_equal(a, b) for a, b in zip(listed.profile_at(-1), traj.profile_at(-1)))
+    face = singleton_face(vz, (0, 0))
+    assert np.array_equal(face_distances(listed, face), face_distances(traj, face))
+    assert np.array_equal(regret(listed, vz, 1), regret(traj, vz, 1))
+    write_trajectory_csv(listed, tmp_path / "listed.csv", faces=[face])
+    write_trajectory_csv(traj, tmp_path / "tuple.csv", faces=[face])
+    assert (tmp_path / "listed.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
 
 
 def test_profile_views_match_rows(traj):
