@@ -179,7 +179,8 @@ def fit_rate(
 
     The regression window keeps steps with atol < dist < `window`: the
     upper cutoff drops the transient, the lower one drops the numerical
-    floor. Regression models need at least 20 points inside the window.
+    floor. Regression models need at least 20 points inside the window,
+    and fit the closed-form least-squares line about the window's means.
     """
     if not 0 < atol < window:
         raise InputError("need 0 < atol < window")
@@ -235,18 +236,33 @@ def fit_rate(
     )
 
 
-def _line_fit(x, y):
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    ss_res = float(((y - pred) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
+def _centred(y):
+    """Mean of y, its deviations from the mean and their sum of squares."""
+    mean = float(y.mean())
+    dev = y - mean
+    return mean, dev, float(dev @ dev)
+
+
+def _line_fit(x, y, centred=None):
+    """Least-squares line y ~ slope * x + intercept and its r-squared, in
+    closed form about the means. `centred` is :func:`_centred` of y, for a
+    caller that fits one y against many x; a constant y fits with r^2 = 1."""
+    y_mean, dy, ss_tot = _centred(y) if centred is None else centred
+    x_mean = float(x.mean())
+    dx = x - x_mean
+    slope = float(dx @ dy) / float(dx @ dx)
+    res = dy - slope * dx
+    r2 = 1.0 - float(res @ res) / ss_tot if ss_tot > 0 else 1.0
+    return slope, y_mean - slope * x_mean, r2
 
 
 def _best_shift(t, logd):
-    """1-D search over the time offset maximizing the log-log fit quality."""
+    """1-D search over the time offset maximizing the log-log fit quality.
+
+    Every fit is the closed-form line of :func:`_line_fit` against the
+    same logd, centred once here; the grid and the golden-section steps
+    run one fit at a time."""
+    centred = _centred(logd)
     span = float(t.max()) - float(t.min())
     grid = np.concatenate([[1e-9], np.geomspace(1e-3, max(10.0 * span, 1.0), 120)])
     best = None
@@ -255,7 +271,7 @@ def _best_shift(t, logd):
         shifted = c + t
         if shifted.min() <= 0:
             continue
-        fit = _line_fit(np.log(shifted), logd)
+        fit = _line_fit(np.log(shifted), logd, centred)
         if best is None or fit[2] > best[2]:
             best, best_c = fit, float(c)
     # golden-ratio refinement around the winning grid cell
@@ -263,11 +279,11 @@ def _best_shift(t, logd):
     for _ in range(60):
         m1 = lo + 0.382 * (hi - lo)
         m2 = lo + 0.618 * (hi - lo)
-        f1 = _line_fit(np.log(m1 + t), logd)[2]
-        f2 = _line_fit(np.log(m2 + t), logd)[2]
+        f1 = _line_fit(np.log(m1 + t), logd, centred)[2]
+        f2 = _line_fit(np.log(m2 + t), logd, centred)[2]
         if f1 < f2:
             lo = m1
         else:
             hi = m2
     c = 0.5 * (lo + hi)
-    return c, _line_fit(np.log(c + t), logd)
+    return c, _line_fit(np.log(c + t), logd, centred)

@@ -20,7 +20,6 @@ from .experiments import _face_key, _write_json, load_game_spec, run_batch, run_
 from .faces import _minimal_faces, club_margin, enumerate_clubs
 from .game import enumerate_pure_nash, strictly_dominated_pure
 from .config import config_from_json
-from .verify import list_checks, run_suite
 
 
 def analyze_game(spec: str) -> dict:
@@ -61,6 +60,9 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here so that the other subcommands never load the checks
+    from .verify import list_checks, run_suite
+
     if args.list:
         for cid, title in list_checks():
             print(f"{cid}  {title}")

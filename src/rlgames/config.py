@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .game import Game
 from .learning import Bandit, Clairvoyant, FeedbackKind, Schedule
 from .regularizers import kernel_from_name
@@ -171,13 +171,13 @@ def _feedback_from(data: dict) -> FeedbackKind:
     if cls is Clairvoyant:
         if extra:
             raise ConfigError(f"clairvoyant feedback has unknown fields {sorted(extra)}")
-        tol = _finite_number(spec.get("tol", 1e-10), "clairvoyant tol")
-        max_iters = spec.get("max_iters", 1000)
-        if tol <= 0:
-            raise ConfigError("clairvoyant tol must be a positive number")
-        if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
-            raise ConfigError("clairvoyant max_iters must be a positive integer")
-        return Clairvoyant(tol=tol, max_iters=max_iters)
+        params = {key: spec[key] for key in ("tol", "max_iters") if key in spec}
+        if "tol" in params:
+            params["tol"] = _finite_number(params["tol"], "clairvoyant tol")
+        try:
+            return Clairvoyant(**params)
+        except InputError as exc:
+            raise ConfigError(str(exc)) from exc
     # bandit: the exploration schedule lives in its own top-level field
     if "exploration" not in data:
         raise ConfigError("bandit feedback requires an 'exploration' schedule")

@@ -114,9 +114,9 @@ class Clairvoyant:
     def __post_init__(self):
         if (isinstance(self.tol, bool) or not isinstance(self.tol, Real)
                 or not 0 < self.tol < np.inf):
-            raise InputError("clairvoyant tolerance must be a positive real number")
+            raise InputError("clairvoyant tol must be a positive number")
         if not _is_count(self.max_iters):
-            raise InputError("clairvoyant iteration cap must be an integer of at least 1")
+            raise InputError("clairvoyant max_iters must be a positive integer")
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,11 @@ def _power_choice(kernel: Kernel, batch):
     to it and f' < 0 on every one of them. A row is frozen once its own
     residual closes, so it maps to the same bits whatever other rows
     share the batch. Every evaluation writes the terms of f and of -f'
-    into one buffer and sums both in one reduction.
+    into one buffer and sums both in one reduction into the fixed views
+    s and ds. The residual, the open-row mask and the Newton step have
+    buffers of their own too, so on steep kernels an iteration allocates
+    no array: at a few rows its cost is numpy call overhead, not
+    arithmetic.
     """
     rows, m = batch.shape
     if m == 1:
@@ -201,14 +205,22 @@ def _power_choice(kernel: Kernel, batch):
     scale = rho - 1.0
     inv_exp = 1.0 / scale
     steep = kernel.steep
-    batch = batch - batch.max(axis=1, keepdims=True)
-    mu = np.full(rows, -kernel.theta_prime_at_one())
+    batch = batch - np.maximum.reduce(batch, axis=1, keepdims=True)
+    mu = np.empty((rows, 1))
+    mu.fill(-kernel.theta_prime_at_one())
     w = np.empty((rows, m))
     buf = np.empty((2, rows, m))
     x, dx = buf
+    sums = np.empty((2, rows))
+    s, ds = sums  # f and -f' at mu, rowwise
+    resid = np.empty(rows)
+    err = np.empty(rows)
+    step = np.empty(rows)
+    mu_rows = mu[:, 0]
+    open_rows = np.empty(rows, dtype=bool)
 
     def eval_at():
-        np.subtract(batch, mu[:, None], out=w)
+        np.subtract(batch, mu, out=w)
         if rho == 0.5:
             np.multiply(w, w, out=x)
             np.divide(4.0, x, out=x)  # w < 0 from lo on, as mu only rises
@@ -223,22 +235,22 @@ def _power_choice(kernel: Kernel, batch):
             np.power(x, inv_exp, out=x)
             np.putmask(x, w <= 0, 0.0)
             np.power(x, 2.0 - rho, out=dx)
-        return np.add.reduce(buf, axis=2)  # f and -f' at mu, rowwise
+        np.add.reduce(buf, axis=2, out=sums)
 
-    s, ds = eval_at()
+    eval_at()
     for _ in range(_NEWTON_ITERS):
-        resid = s - 1.0
-        open_rows = np.abs(resid) > _CLOSE_TOL
-        if not open_rows.any():
+        np.subtract(s, 1.0, out=resid)
+        np.greater(np.abs(resid, out=err), _CLOSE_TOL, out=open_rows)
+        if not np.logical_or.reduce(open_rows):
             break
-        np.putmask(mu, open_rows, mu + resid / ds)
-        s, ds = eval_at()
-    resid = np.abs(s - 1.0)
-    worst = int(np.argmax(resid))
-    if resid[worst] > _FAIL_TOL:
+        np.add(mu_rows, np.divide(resid, ds, out=step), out=mu_rows, where=open_rows)
+        eval_at()
+    np.abs(np.subtract(s, 1.0, out=resid), out=err)
+    worst = int(err.argmax())
+    if err[worst] > _FAIL_TOL:
         raise NumericError(
             f"choice map of kernel '{kernel.name}' (rho = {rho:g}): row {worst} "
-            f"has simplex residual {resid[worst]:.3e} after the cap of "
+            f"has simplex residual {err[worst]:.3e} after the cap of "
             f"{_NEWTON_ITERS} Newton iterations"
         )
     return x / s[:, None]

@@ -27,6 +27,7 @@ from rlgames import (
     run,
     singleton_face,
 )
+from rlgames.analysis import _line_fit
 from rlgames.builtin import BUILTIN_GAMES
 from rlgames.game import make_game, payoff_vector
 
@@ -353,6 +354,23 @@ def test_fit_diagnostic_errors():
     rows = np.stack([1.0 - d, d], axis=1)
     with pytest.raises(DiagnosticError, match="in-window"):
         fit_rate(make_traj((2,), rows), face_from_lists([[0]]), LOGIT)
+
+
+@pytest.mark.parametrize("n", [20, 300, 4000])
+def test_line_fit_matches_lstsq(n):
+    rng = np.random.default_rng(n)
+    x = np.log(8.7 + np.cumsum(rng.uniform(0.01, 0.2, n)))
+    y = -2.0 * x + 6.4 + rng.normal(0.0, 0.05, n)
+    A = np.stack([x, np.ones_like(x)], axis=1)
+    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
+    ss_res = ((y - A @ (slope, intercept)) ** 2).sum()
+    r2 = 1.0 - ss_res / ((y - y.mean()) ** 2).sum()
+    np.testing.assert_allclose(_line_fit(x, y), (slope, intercept, r2), rtol=1e-12)
+
+
+def test_line_fit_of_a_constant_series_is_flat_and_exact():
+    slope, intercept, r2 = _line_fit(np.arange(30.0), np.full(30, -3.5))
+    assert (slope, intercept, r2) == (0.0, -3.5, 1.0)
 
 
 def test_fit_parameter_validation(vz_traj):

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +365,19 @@ def test_verify_unknown_id_errors(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError"
     assert "c99" in err["message"]
+
+
+def test_importing_the_cli_leaves_the_checks_unloaded():
+    # only `rlgames verify` needs the checks, so analyze, run and batch
+    # never compile or import them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, rlgames.cli; print('rlgames.verify' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_verify_catches_a_broken_engine(monkeypatch):

@@ -308,11 +308,13 @@ def test_power_newton_failure_names_kernel_row_and_cap(monkeypatch):
 
 def _power_choice_reference(kernel, batch):
     """Reference Newton loop: fresh arrays on every evaluation, one sum per
-    term and a masked update, the same iterates as the map."""
+    term and a masked update, the same iterates as the map. Returns the
+    map and, per row, the number of Newton steps before it froze."""
     rho = kernel.rho
     scale = rho - 1.0
     batch = batch - batch.max(axis=1, keepdims=True)
     mu = np.full(len(batch), -kernel.theta_prime_at_one())
+    steps = np.zeros(len(batch), dtype=int)
 
     def eval_at(mu):
         w = batch - mu[:, None]
@@ -334,8 +336,9 @@ def _power_choice_reference(kernel, batch):
         if not open_rows.any():
             break
         mu = np.where(open_rows, mu + resid / ds, mu)
+        steps += open_rows
         x, s, ds = eval_at(mu)
-    return x / s[:, None]
+    return x / s[:, None], steps
 
 
 @pytest.mark.parametrize("name", ["tsallis", "power:0.3", "power:0.8", "power:1.5",
@@ -348,7 +351,33 @@ def test_power_map_matches_a_reference_newton_loop(name):
         for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4):
             batch = scale * rng.normal(0.0, 1.0, (64, m))
             batch[::4, 0] = batch[::4, 1]  # ties
-            assert choice_map(k, batch).tobytes() == _power_choice_reference(k, batch).tobytes()
+            assert choice_map(k, batch).tobytes() == _power_choice_reference(k, batch)[0].tobytes()
+
+
+# power:2 names the quadratic kernel, so its power form is built directly
+ORACLE_KERNELS = {
+    "tsallis": kernel_from_name("tsallis"),
+    "power:0.3": kernel_from_name("power:0.3"),
+    "power:1.5": kernel_from_name("power:1.5"),
+    "power:2": Kernel(name="power:2", variant="power", rho=2.0),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_KERNELS)
+@pytest.mark.parametrize("rows", [1, 3, 54, 500])
+def test_power_map_is_the_reference_newton_loop_byte_for_byte(name, rows):
+    # rows near a vertex freeze after a step or two, tied and spread rows
+    # take longer, so one batch freezes its rows at different iterations
+    k = ORACLE_KERNELS[name]
+    rng = np.random.default_rng([rows, int(k.rho * 10)])
+    for m in (2, 3, 7):
+        batch = rng.normal(0.0, 1.0, (rows, m)) * rng.choice([1e-2, 1.0, 1e2], (rows, 1))
+        batch[1::3, 0] += 40.0  # near a vertex
+        batch[2::3, 1] = batch[2::3, 0]  # ties
+        want, steps = _power_choice_reference(k, batch)
+        assert choice_map(k, batch).tobytes() == want.tobytes(), m
+        if rows >= 3:
+            assert len(set(steps)) > 1, m
 
 
 @pytest.mark.parametrize("name", ["tsallis", "power:0.3", "power:1.5"])
