@@ -79,11 +79,13 @@ class Game:
                      for players, cols, _ in _layout(self.n_actions).blocks)
 
     @functools.cached_property
-    def _payoff_stack(self) -> np.ndarray:
-        """The payoff tensors as one read-only (N, *n_actions) array."""
-        stack = np.stack(self.payoffs)
-        stack.flags.writeable = False
-        return stack
+    def _payoff_table(self) -> np.ndarray:
+        """The payoffs as one read-only (prod n_actions, N) array: row p
+        holds every player's payoff at the pure profile of flat index p,
+        ``actions @ _layout(n_actions).strides``."""
+        table = np.stack([t.reshape(-1) for t in self.payoffs], axis=1)
+        table.flags.writeable = False
+        return table
 
 
 def make_game(payoffs) -> Game:
@@ -154,7 +156,9 @@ class _Layout:
     side by side: player i owns ``cols[i]``, which starts at ``offsets[i]``,
     ``dim`` is D and ``m_col`` holds each column's own m_i as a float.
     ``blocks`` lists (players, columns, m) for each run of consecutive
-    players with equal action counts m; its columns view as (R, n_b, m)."""
+    players with equal action counts m; its columns view as (R, n_b, m).
+    ``strides`` weighs each player's action in the row-major flat index of
+    a pure profile."""
 
     def __init__(self, sizes):
         sizes = [int(m) for m in sizes]
@@ -162,7 +166,9 @@ class _Layout:
         self.offsets = np.cumsum([0] + sizes[:-1])
         self.cols = tuple(slice(a, a + m) for a, m in zip(self.offsets.tolist(), sizes))
         self.m_col = np.repeat(np.asarray(sizes, dtype=float), sizes)
-        self.offsets.flags.writeable = self.m_col.flags.writeable = False
+        self.strides = np.cumprod([1] + sizes[:0:-1])[::-1]
+        for a in (self.offsets, self.m_col, self.strides):
+            a.flags.writeable = False
         blocks, p = [], 0
         for m, run in itertools.groupby(sizes):
             n = len(list(run))

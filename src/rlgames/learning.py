@@ -15,23 +15,30 @@ step before under optimistic feedback; the current play x_n = Q(y_n)
 goes straight into the record. Each player's (R, m_i) columns are a view
 into those rows; consecutive players with equal action counts form a
 block, viewed as (R, n_b, m_b), and each step makes one numpy call per
-block and operation. The payoff operator v(x) works per block too: the
-game stacks each block's payoff tensors once, and one multiply-add per
-(opponent, action) gives the whole block's payoff vectors. Every
-operation treats a row the same whatever other rows share the batch, so
-run r of a batch is bit for bit the single run from the same seed and
-start. :func:`run` is the one-run case.
+block and operation. Under bandit feedback the step holds each block's
+explored play action-major, as (m_b, R, n_b), so the running sums and the
+draw reduce over the short action axis one (R, n_b) slab at a time, and
+the estimate, N entries per row, is added into those N scores alone.
+The payoff operator v(x) works per block too: the game stacks each
+block's payoff tensors once, and one multiply-add per (opponent, action)
+gives the whole block's payoff vectors. Every operation treats a row the
+same whatever other rows share the batch, so run r of a batch is bit for
+bit the single run from the same seed and start. :func:`run` is the
+one-run case.
 
 The step loop computes only what the recursion needs and records only
 what cannot be recomputed from the play: x, the realized actions under
 bandit feedback, and vhat under mirror-prox and clairvoyant feedback,
 whose half-step or fixed point depends on the scores. Every other vhat is
-a row-wise function of the play, written once in :func:`_gain`, which the
-step calls on R runs at one step and a trajectory on B steps of one run.
-Scores, that vhat, bias, noise and the regret summands are derived from
-the recorded rows on first read, with the step's arithmetic in the
-step's order, so the record is the same bits either way and a caller
-that never reads them never pays for them.
+a row-wise function of the play, written once in :func:`_gain`, which a
+trajectory calls on B steps of one run and the full and optimistic step
+on R runs at one step. The bandit estimate's entries have one owner,
+:func:`_iwe_entries`: the step adds them into the scores, and
+:func:`_gain` and :func:`iwe` write them into zeros. Scores, that vhat,
+bias, noise and the regret summands are derived from the recorded rows
+on first read, with the step's arithmetic in the step's order, so the
+record is the same bits either way and a caller that never reads them
+never pays for them.
 
 Randomness (bandit sampling only) comes from the counter-based Philox
 generator, keyed per (run seed, player): the draw used by player i at step
@@ -171,15 +178,20 @@ def perturbation_stream(seed: int) -> np.random.Generator:
 # bandit building blocks
 #
 # The public blocks take one profile, or R profiles at once as per-player
-# (R, m_i) rows, and validate what they are given. Their unchecked cores act
-# on flat (R, D) rows, player-major like the recorded x rows
-# (game._layout), with one numpy call per block of consecutive equal-size
-# players; the lockstep engine below calls the cores on the rows it built.
+# (R, m_i) rows, and validate what they are given. Sampling acts on one
+# layout block (game._layout) of consecutive equal-size players at a
+# time, held action-major as (m, R, n_b): action a of every run and block
+# player is one (R, n_b) slab, so the running sums and the draw reduce
+# over the short action axis slab by slab, not one short row at a time.
+# The estimate is N entries per row, which the lockstep engine below adds
+# straight into the scores.
 
 
-def _explored_unchecked(x, delta, m_col) -> np.ndarray:
-    """Mix each strategy with the uniform one: (1 - delta) x + delta / m."""
-    return (1.0 - delta) * x + delta / m_col
+def _explored_unchecked(x, delta, m, out=None) -> np.ndarray:
+    """Mix each strategy with the uniform one, (1 - delta) x + delta / m,
+    into `out` if given."""
+    out = np.multiply(x, 1.0 - delta, out=out)
+    return np.add(out, delta / m, out=out)
 
 
 def sample_actions(explored, uniforms):
@@ -198,18 +210,21 @@ def sample_actions(explored, uniforms):
     if any(len(x) != len(rows) for x in xs):
         raise InputError("explored rows and uniform rows disagree in number")
     x, layout = _flat(xs)
-    actions = _sample_actions_unchecked(x, rows, layout.blocks, np.empty(rows.shape, np.int64))
+    actions = np.empty(rows.shape, np.int64)
+    for players, cols, m in layout.blocks:
+        xb = x[:, cols].reshape(len(x), -1, m).transpose(2, 0, 1)
+        _sample_actions_unchecked(xb, rows[:, players], actions[:, players])
     return actions if u.ndim == 2 else actions[0].tolist()
 
 
-def _sample_actions_unchecked(x, uniforms, blocks, out) -> np.ndarray:
-    """Draw on flat (R, D) rows into the (R, N) array `out`."""
-    for players, cols, m in blocks:
-        c = np.add.accumulate(x[:, cols].reshape(len(x), -1, m), axis=2)
-        # counting c <= u * total is searchsorted(c, u * total, side="right")
-        count = np.add.reduce(c <= (uniforms[:, players] * c[..., -1])[..., None], axis=2)
-        np.minimum(count, m - 1, out=out[:, players])
-    return out
+def _sample_actions_unchecked(xb, uniforms, out, c=None) -> np.ndarray:
+    """Draw one block's actions into (R, n_b) `out` from its explored play
+    as action-major (m, R, n_b) rows and its (R, n_b) uniforms; `c`, of
+    the shape of `xb`, may take the running sums."""
+    c = np.add.accumulate(xb, axis=0, out=c)
+    # the running sums never decrease and u < 1, so counting the a < m - 1
+    # with c_a <= u * c_{m-1} is searchsorted(c, u * c_{m-1}, side="right")
+    return np.add.reduce(c[:-1] <= uniforms * c[-1], axis=0, out=out)
 
 
 def iwe(game: Game, explored, realized):
@@ -235,19 +250,27 @@ def iwe(game: Game, explored, realized):
         raise InputError(
             f"realized action {acts[r, i]} has zero sampling probability for player {i}"
         )
-    out = _iwe_unchecked(game._payoff_stack, layout.offsets, x, acts)
-    out = layout.split(out)
+    out = layout.split(_iwe_unchecked(game, x, acts))
     return out if rows else [v[0] for v in out]
 
 
-def _iwe_unchecked(payoffs, offsets, xhat, acts) -> np.ndarray:
-    """The estimate on flat (R, D) rows. `payoffs` stacks the payoff
-    tensors, so one gather reads all (N, R) realized payoffs. Every
-    realized action must have positive probability."""
-    rows = np.arange(len(acts))[:, None]
-    cols = offsets + acts
+def _iwe_entries(game: Game, base, prob, acts):
+    """The estimate's N nonzero entries per row of realized actions `acts`
+    (R, N), as (flat positions, values): player i's u_i(acts) / prob_i at
+    base_i + acts_i, `prob` holding each realized action's explored
+    probability. One gather reads every player's payoff at each row's
+    realized profile."""
+    table, strides = game._payoff_table, _layout(game.n_actions).strides
+    return base + acts, table.take(acts @ strides, axis=0) / prob
+
+
+def _iwe_unchecked(game: Game, xhat, acts) -> np.ndarray:
+    """The estimate on contiguous flat (R, D) explored rows, as the entries
+    of :func:`_iwe_entries` written into zeros. Every realized action
+    must have positive probability."""
+    base = np.arange(0, xhat.size, xhat.shape[1])[:, None] + _layout(game.n_actions).offsets
     out = np.zeros(xhat.shape)
-    out[rows, cols] = payoffs[(slice(None),) + tuple(acts.T)].T / xhat[rows, cols]
+    out.put(*_iwe_entries(game, base, xhat.take(base + acts), acts))
     return out
 
 
@@ -273,13 +296,15 @@ def _initial_scores(game: Game, y0) -> np.ndarray:
     return flat
 
 
-def _gain(feedback, payoffs, offsets, v=None, v_prev=None, xhat=None, acts=None):
+def _gain(feedback, game, v=None, v_prev=None, xhat=None, acts=None):
     """vhat on flat rows, R runs at one step or B steps of one run, for the
     kinds whose gain depends only on the play: `v` = v(x_n) under full
-    feedback, 2 v(x_n) - v(x_{n-1}) under optimistic feedback, and the
-    estimate on the explored rows `xhat` and realized `acts` under bandit."""
+    feedback, 2 v(x_n) - v(x_{n-1}) under optimistic feedback, and under
+    bandit feedback the dense estimate on the explored rows `xhat` and
+    realized `acts` (a bandit step adds only the estimate's entries into
+    the scores)."""
     if isinstance(feedback, Bandit):
-        return _iwe_unchecked(payoffs, offsets, xhat, acts)
+        return _iwe_unchecked(game, xhat, acts)
     if isinstance(feedback, Optimistic):
         return 2.0 * v - v_prev
     return v
@@ -336,7 +361,7 @@ class _Derivation:
             xhat = (_explored_unchecked(x, self.deltas[rows, None], layout.m_col)
                     if bandit else None)
             vhat = recorded[rows] if recorded is not None else _gain(
-                feedback, game._payoff_stack, layout.offsets, v, v_prev, xhat, traj.realized[rows])
+                feedback, game, v, v_prev, xhat, traj.realized[rows])
             if name == "vhat":
                 out[rows] = vhat
             elif name == "bias" and isinstance(feedback, Optimistic):
@@ -398,15 +423,19 @@ def run_many(
 
     Each step computes only what the next scores depend on. It stores x,
     the realized actions under bandit feedback and vhat under mirror-prox
-    and clairvoyant feedback; the other kinds take vhat from :func:`_gain`,
-    and bandit runs, which never evaluate v(x), draw ``_DERIVE_ROWS`` steps
-    of each (seed, player) stream at a time. Each trajectory derives its
+    and clairvoyant feedback. Full and optimistic steps take vhat from
+    :func:`_gain`. Bandit runs never evaluate v(x): a step explores each
+    block's play into action-major (m, R, n_b) buffers, allocated once
+    per call, draws from them, and adds the N entries of
+    :func:`_iwe_entries` per row into the scores, and the runs draw
+    ``_DERIVE_ROWS`` steps of each (seed, player) stream at a time. Each trajectory derives its
     scores, the vhat it did not store, bias, noise and regret summands
     from those rows on first read, one field per call of
     :class:`_Derivation`. The runs of a batch share one read-only array
     each for n, gamma and tau, and runs that never sample share one
     read-only block of -1 for their realized actions. Scores that overflow
-    raise :class:`InputError` naming the step, the run and its seed; a
+    (under bandit feedback only the N a step moved can) raise
+    :class:`InputError` naming the step, the run and its seed; a
     record too large to allocate raises :class:`ResourceLimitError`.
     """
     if not _is_count(horizon):
@@ -427,7 +456,8 @@ def run_many(
             # each player's next _DERIVE_ROWS draws, per run
             draws = np.empty((R, N, min(T, _DERIVE_ROWS)))
             deltas = np.empty(T)
-            out_real = np.empty((R, T, N), dtype=np.int64)
+            # step-major, so each step writes one contiguous (R, N) block
+            out_real = np.empty((T, R, N), dtype=np.int64)
         else:
             deltas = out_real = None
         out_gamma = np.empty(T)
@@ -440,8 +470,17 @@ def run_many(
             f"D = {D} coordinates: {exc}"
         ) from None
 
-    payoffs = game._payoff_stack  # for the estimate
-    streams = [[player_stream(s, i) for i in range(N)] for s in seeds] if bandit else ()
+    if bandit:
+        streams = [[player_stream(s, i) for i in range(N)] for s in seeds]
+        base = np.arange(0, R * D, D)[:, None] + layout.offsets  # each player's action 0
+        prob = np.empty((R, N))  # the explored probability of each realized action
+        # per block: action-major (m, R, n_b) buffers for the explored play
+        # and its running sums, and the place of each (run, player) in a slab
+        blocks = []
+        for players, cols, m in layout.blocks:
+            n = players.stop - players.start
+            blocks.append((players, cols, m, np.empty((2, m, R, n)),
+                           np.arange(R * n).reshape(R, n)))
     scores = np.stack(y0s)
     x = _choice_blocks(kernel, scores, layout.blocks)
     v = None  # v(x) of the step before (full and optimistic feedback)
@@ -459,22 +498,34 @@ def run_many(
                     for i, stream in enumerate(row):
                         stream.random(out=draws[r, i, :b])
             delta = deltas[k] = feedback.exploration.value(k + 1)
-            xhat = _explored_unchecked(x, delta, layout.m_col)
-            acts = _sample_actions_unchecked(xhat, draws[:, :, j], layout.blocks, out_real[:, k])
-            vhat = _gain(feedback, payoffs, layout.offsets, xhat=xhat, acts=acts)
-        elif isinstance(feedback, (Full, Optimistic)):
-            # the previous play is x_1 itself at step 1, so the first step is plain
-            v_prev, v = v, _field(game, x)
-            vhat = _gain(feedback, payoffs, layout.offsets, v, v if v_prev is None else v_prev)
-        elif isinstance(feedback, MirrorProx):
-            x_half = _choice_blocks(kernel, scores + gamma * _field(game, x), layout.blocks)
-            vhat = _field(game, x_half, out_vhat[:, k])
+            acts, u = out_real[k], draws[:, :, j]
+            for players, cols, m, (xb, c), place in blocks:
+                xv = x[:, cols].reshape(R, -1, m).transpose(2, 0, 1)
+                a = acts[:, players]
+                _sample_actions_unchecked(_explored_unchecked(xv, delta, m, xb),
+                                          u[:, players], a, c)
+                # every index is in range, so "clip" only spares the buffering
+                xb.take(a * place.size + place, out=prob[:, players], mode="clip")
+            flat, vals = _iwe_entries(game, base, prob, acts)
+            # the estimate moves only these N scores per row
+            touched = scores.take(flat)
+            touched += gamma * vals
+            scores.put(flat, touched)
         else:
-            x_plus = _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma)
-            vhat = _field(game, x_plus, out_vhat[:, k])
-        scores += gamma * vhat
-        if not np.isfinite(scores).all():
-            r = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
+            if isinstance(feedback, (Full, Optimistic)):
+                # the previous play is x_1 itself at step 1, so the first step is plain
+                v_prev, v = v, _field(game, x)
+                vhat = _gain(feedback, game, v, v if v_prev is None else v_prev)
+            elif isinstance(feedback, MirrorProx):
+                x_half = _choice_blocks(kernel, scores + gamma * _field(game, x), layout.blocks)
+                vhat = _field(game, x_half, out_vhat[:, k])
+            else:
+                x_plus = _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma)
+                vhat = _field(game, x_plus, out_vhat[:, k])
+            scores += gamma * vhat
+            touched = scores  # every score moved
+        if not np.isfinite(touched).all():
+            r = int(np.flatnonzero(~np.isfinite(touched).all(axis=1))[0])
             raise InputError(
                 f"scores overflowed to NaN or Inf at step {k + 1} "
                 f"in run {r} (seed {seeds[r]})"
@@ -493,6 +544,8 @@ def run_many(
     if out_real is None:
         # runs that never sample share one read-only block of -1
         out_real = np.broadcast_to(np.int64(-1), (R, T, N))
+    else:
+        out_real = out_real.transpose(1, 0, 2)
     derive = _Derivation(game, feedback, deltas)
     return [
         Trajectory(

@@ -159,8 +159,13 @@ def _choice_unchecked(kernel: Kernel, batch):
     if kernel.variant == "quadratic":
         return _project_simplex(batch)
     if kernel.variant == "entropic":
-        e = np.exp(batch - batch.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        # the row max as m - 1 elementwise maxima over a transposed copy,
+        # not one short reduction per row; a max does no rounding. The
+        # sum stays a reduction of contiguous rows, whose order sets its bits
+        e = batch - np.maximum.reduce(batch.T.copy(), axis=0)[:, None]
+        np.exp(e, out=e)
+        e /= np.add.reduce(e, axis=1, keepdims=True)
+        return e
     return _power_choice(kernel, batch)
 
 
@@ -233,8 +238,10 @@ def _power_choice(kernel: Kernel, batch):
         else:
             np.multiply(np.maximum(w, 0.0, out=x), scale, out=x)
             np.power(x, inv_exp, out=x)
-            np.putmask(x, w <= 0, 0.0)
+            inactive = w <= 0
+            np.putmask(x, inactive, 0.0)
             np.power(x, 2.0 - rho, out=dx)
+            np.putmask(dx, inactive, 0.0)  # 0 ** 0 = 1 at rho = 2 is no slope
         np.add.reduce(buf, axis=2, out=sums)
 
     eval_at()

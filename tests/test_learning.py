@@ -358,17 +358,18 @@ def test_bandit_step_decomposition(vz):
         assert np.all(est[mask] == 0.0)
 
 
-def step_public_blocks(game_name, T):
+def step_public_blocks(game_name, kernel_name, T):
     """Step the public, validating blocks by hand with the draws of
     uniform_table: the engine's x, vhat and realized actions are theirs,
     bit for bit, at every step."""
     game = game_named(game_name)
+    kernel = kernel_from_name(kernel_name)
     fb = Bandit(exploration=Schedule(0.1, 0.15))
     sch = Schedule(0.2, 0.5)
     y = [np.random.default_rng(3).uniform(-1.0, 1.0, m) for m in game.n_actions]
-    traj = run(game, LOGIT, fb, sch, T, y0=y, seed=42)
+    traj = run(game, kernel, fb, sch, T, y0=y, seed=42)
     table = uniform_table(42, game.n_players, T)
-    x = logit_profile(y)
+    x = [choice_map(kernel, yi) for yi in y]
     for k in range(T):
         assert np.concatenate(x).tobytes() == traj.x[k].tobytes(), k
         xhat = explored(x, fb.exploration.value(k + 1))
@@ -377,22 +378,27 @@ def step_public_blocks(game_name, T):
         est = iwe(game, xhat, realized)
         assert np.concatenate(est).tobytes() == traj.vhat[k].tobytes(), k
         y = [yi + sch.value(k + 1) * e for yi, e in zip(y, est)]
-        x = logit_profile(y)
+        x = [choice_map(kernel, yi) for yi in y]
 
 
-@pytest.mark.parametrize("game_name", ["vz4x4", "mixed_2x3"])
-def test_bandit_steps_match_the_public_blocks(game_name):
-    step_public_blocks(game_name, 20)
+# each kernel on the one-block vz4x4 and on two-block games of unequal
+# widths; a logit case is named by its game alone
+STEP_CASES = [pytest.param(g, k, id=g if k == "logit" else f"{g}-{k}")
+              for g in ("vz4x4", "mixed_2x3", "mixed_3x2x2")
+              for k in ("logit", "euclidean", "tsallis")]
 
 
-@pytest.mark.parametrize("game_name", ["vz4x4", "mixed_2x3"])
-def test_bandit_steps_match_the_public_blocks_across_draw_blocks(game_name):
+@pytest.mark.parametrize("game_name,kernel_name", STEP_CASES)
+def test_bandit_steps_match_the_public_blocks(game_name, kernel_name):
+    step_public_blocks(game_name, kernel_name, 20)
+
+
+@pytest.mark.parametrize("game_name,kernel_name", STEP_CASES)
+def test_bandit_steps_match_the_public_blocks_across_draw_blocks(game_name, kernel_name):
     # the engine draws _DERIVE_ROWS steps of each stream at a time; 1100
-    # steps cross one block boundary and end inside a partial block. Near
-    # a pure profile most uniforms pick the same action, so the run goes
-    # on for 76 steps past the boundary
+    # steps cross one block boundary and end inside a partial block
     assert learning._DERIVE_ROWS < 1100 < 2 * learning._DERIVE_ROWS
-    step_public_blocks(game_name, 1100)
+    step_public_blocks(game_name, kernel_name, 1100)
 
 
 def test_bandit_exploration_must_stay_in_range():
@@ -683,6 +689,24 @@ def test_score_overflow_names_the_step_run_and_seed():
     with np.errstate(over="ignore"), \
             pytest.raises(InputError, match=r"at step 2 in run 1 \(seed 7\)"):
         run_many(big, LOGIT, Full(), sch, 3, starts)
+
+
+def test_bandit_score_overflow_names_the_step_run_and_seed():
+    # each run starts near a pure profile and explores with weight 1e-300,
+    # so it plays that profile at every step whatever its draws. Run 0
+    # plays (0, 0), which pays 0; run 1 plays (1, 1), which pays both
+    # players 1e300 / P = 1e300, and steps of 1e8 put 1e308 on each
+    # player's action 1 at step 1 and overflow it at step 2
+    big = make_game([[[0.0, 0.0], [0.0, 1e300]], [[0.0, 0.0], [0.0, 1e300]]])
+    fb = Bandit(exploration=Schedule(1e-300))
+    starts = [(5, [np.array([50.0, 0.0])] * 2), (7, [np.array([0.0, 50.0])] * 2)]
+    sch = Schedule(1e8)
+    one_step = run_many(big, LOGIT, fb, sch, 1, starts)
+    assert one_step[0].vhat[0].tolist() == [0.0] * 4
+    assert one_step[1].vhat[0].tolist() == [0.0, 1e300, 0.0, 1e300]
+    with np.errstate(over="ignore"), \
+            pytest.raises(InputError, match=r"at step 2 in run 1 \(seed 7\)"):
+        run_many(big, LOGIT, fb, sch, 3, starts)
 
 
 def test_run_many_needs_a_start(vz):

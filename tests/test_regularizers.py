@@ -109,6 +109,23 @@ def test_logit_matches_scipy_softmax(rng):
         assert np.allclose(choice_map(k, y), softmax(y), atol=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 27, 512, 4096])
+def test_logit_map_is_the_textbook_softmax_byte_for_byte(rows):
+    # the map takes its row max another way; a max does no rounding, and
+    # a zero max of either sign leaves every exp at the same bits
+    k = kernel_from_name("logit")
+    rng = np.random.default_rng(rows)
+    for m in range(1, 13):
+        for scale in (1e-3, 1.0, 30.0, 1e3):
+            y = scale * rng.normal(0.0, 1.0, (rows, m))
+            y[::3, -1] = y[::3, 0]  # ties
+            y[1::5] = 0.0
+            y[2::7, ::2] = -0.0
+            e = np.exp(y - y.max(axis=1, keepdims=True))
+            want = e / e.sum(axis=1, keepdims=True)
+            assert choice_map(k, y).tobytes() == want.tobytes(), (m, scale)
+
+
 def kkt_residual(kernel, y, x):
     """Optimality certificate for argmax <y,x> - h(x) on the simplex.
 
@@ -326,7 +343,7 @@ def _power_choice_reference(kernel, batch):
             dx = np.power(x, 2.0 - rho)
         else:
             x = np.where(w > 0, np.power(scale * np.maximum(w, 0.0), 1.0 / scale), 0.0)
-            dx = np.power(x, 2.0 - rho)
+            dx = np.where(w > 0, np.power(x, 2.0 - rho), 0.0)
         return x, x.sum(axis=1), dx.sum(axis=1)
 
     x, s, ds = eval_at(mu)
@@ -378,6 +395,20 @@ def test_power_map_is_the_reference_newton_loop_byte_for_byte(name, rows):
         assert choice_map(k, batch).tobytes() == want.tobytes(), m
         if rows >= 3:
             assert len(set(steps)) > 1, m
+
+
+@pytest.mark.parametrize("m", [7, 16, 50])
+def test_rho_two_power_map_is_the_projection_within_a_few_newton_steps(m):
+    # inactive coordinates add nothing to the slope -f', also where their
+    # term is 0 ** 0 at rho = 2, so Newton meets the projection's threshold
+    # in a few steps; counting them once ran width 50 into the step cap
+    k = ORACLE_KERNELS["power:2"]
+    batch = np.random.default_rng(m).normal(0.0, 1.0, (200, m))
+    want, steps = _power_choice_reference(k, batch)
+    assert steps.max() <= 10
+    got = choice_map(k, batch)
+    assert got.tobytes() == want.tobytes()
+    assert np.abs(got - regularizers._project_simplex(batch)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["tsallis", "power:0.3", "power:1.5"])
