@@ -32,6 +32,8 @@ from .game import Game, _flat, _layout, _payoff_vectors_unchecked, check_profile
 from .minimax_lp import solve_minimax_lp
 
 MAX_FACES_DEFAULT = 1_000_000
+# `is_curb` counts an LP value within this fraction of its gaps' spread as a tie
+_CURB_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -275,18 +277,21 @@ def is_curb(game: Game, face: Face) -> bool:
     For each player i and outside action b, one minimax LP over beliefs σ
     on the opposing face's vertices decides whether min_σ max_{a in S_i}
     u_i(a, σ) - u_i(b, σ) is positive, i.e. whether b is never a best
-    reply. For two players the beliefs are exactly the opposing mixtures,
-    so the test is exact; for three or more they may be correlated, a
-    larger set than the product mixtures, so a face that passes is curb
-    but a curb face can fail.
+    reply. A value within `_CURB_TIE` times the spread of the gaps
+    u_i(b, v) - u_i(a, v) over the vertices v counts as a tie and fails:
+    the LP returns exact ties as round-off of either sign. For two players
+    the beliefs are exactly the opposing mixtures, so the test is exact;
+    for three or more they may be correlated, a larger set than the
+    product mixtures, so a face that passes is curb but a curb face can
+    fail.
     """
     check_face(game, face)
     for i in range(game.n_players):
         u = _vertex_payoffs(game, face, i)
         for b in _outside(game, face, i):
-            pieces = [(0.0, u[b] - u[a]) for a in face.supports[i]]
-            value, _ = solve_minimax_lp(pieces, u.shape[1])
-            if not value > 0.0:
+            slopes = u[b] - u[list(face.supports[i])]
+            value, _ = solve_minimax_lp([(0.0, s) for s in slopes], u.shape[1])
+            if not value > _CURB_TIE * (slopes.max() - slopes.min()):
                 return False
     return True
 

@@ -369,15 +369,35 @@ def _curb_oracle(game, face):
     return True
 
 
-@pytest.mark.parametrize("seed,shape", [
-    (275, (4, 4)),  # once made the LP report a phase-1 ray
-    (6, (4, 4)),
-    (11, (4, 4)),
-    (3, (3, 5)),
-    (4, (2, 3)),
-], ids=lambda v: f"seed{v}" if isinstance(v, int) else "x".join(map(str, v)))
-def test_curb_matches_a_highs_oracle(seed, shape):
-    game = random_game(np.random.default_rng(seed), shape)
+def _uniform_game(seed, shape):
+    return random_game(np.random.default_rng(seed), shape)
+
+
+def _integer_game(seed, shape):
+    """Payoffs in {-2, ..., 2}, so exact ties between actions are common."""
+    rng = np.random.default_rng([5, seed])
+    return make_game([rng.integers(-2, 3, shape) for _ in shape])
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+@pytest.mark.parametrize("make,seed,shape", [
+    *(pytest.param(_uniform_game, seed, shape, id=f"seed{seed}-{_shape_id(shape)}")
+      for seed, shape in [
+          (275, (4, 4)),  # once made the LP report a phase-1 ray
+          (6, (4, 4)),
+          (11, (4, 4)),
+          (3, (3, 5)),
+          (4, (2, 3)),
+      ]),
+    # exact ties, which must fail however the LP rounds them
+    *(pytest.param(_integer_game, seed, shape, id=f"int{seed}-{_shape_id(shape)}")
+      for shape in [(3, 3), (4, 4), (2, 4), (3, 4)] for seed in range(10)),
+])
+def test_curb_matches_a_highs_oracle(make, seed, shape):
+    game = make(seed, shape)
     for face in all_faces(game):
         assert is_curb(game, face) == _curb_oracle(game, face), face
 
@@ -449,6 +469,16 @@ def test_resilience_gaps_match_per_point_pieces(vz):
             pieces = [(payoff_mixed(game, i, xs), payoff_vector(game, i, xs)) for xs in points]
             value, _ = solve_minimax_lp(pieces, game.n_actions[i])
             assert abs(report.gaps[i] - value) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+def test_resilience_gaps_scale_with_the_payoffs(scale):
+    rng = np.random.default_rng(3)
+    game = random_game(rng, (4, 4))
+    points = [[rng.dirichlet(np.ones(m)) for m in game.n_actions] for _ in range(3)]
+    gaps = is_resilient(game, points).gaps
+    scaled = is_resilient(make_game([scale * t for t in game.payoffs]), points).gaps
+    assert np.allclose(scaled, scale * np.array(gaps), rtol=0.0, atol=1e-12 * scale)
 
 
 def test_strict_equilibrium_point_is_resilient(vz):

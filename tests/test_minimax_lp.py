@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from rlgames.errors import InputError
+from rlgames import minimax_lp
+from rlgames.errors import InputError, SolverError
 from rlgames.minimax_lp import solve_minimax_lp
 
 
@@ -77,20 +78,47 @@ def test_single_affine_piece_maximizes_slope_coordinate():
     assert z[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_agrees_with_reference_solver_on_random_instances():
+def integer_pieces(rng, K, dim):
+    """Offsets and slopes in {-2, ..., 2}: many exact ties and degenerate pivots."""
+    return [(float(rng.integers(-2, 3)), rng.integers(-2, 3, dim).astype(float))
+            for _ in range(K)]
+
+
+def reference_instances():
     rng = np.random.default_rng(42)
-    for trial in range(300):
-        dim = int(rng.integers(2, 6))
-        K = int(rng.integers(1, 8))
-        pieces = random_pieces(rng, K, dim)
+    for make in (random_pieces, integer_pieces):
+        for trial in range(300):
+            dim = int(rng.integers(2, 6))
+            K = int(rng.integers(1, 8))
+            yield f"{make.__name__} {trial}", make(rng, K, dim), dim
+
+
+def test_agrees_with_reference_solver_on_random_instances():
+    for label, pieces, dim in reference_instances():
         value, z = solve_minimax_lp(pieces, dim)
         want = scipy_value(pieces, dim)
-        assert value == pytest.approx(want, abs=1e-8), f"trial {trial}"
+        assert value == pytest.approx(want, abs=1e-8), label
         assert z.sum() == pytest.approx(1.0, abs=1e-9)
         assert (z >= -1e-12).all()
         # the returned witness attains the reported value
         attained = max(c - float(np.dot(a, z)) for c, a in pieces)
         assert attained == pytest.approx(value, abs=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+def test_value_scales_with_the_pieces(scale):
+    for label, pieces, dim in reference_instances():
+        value, _ = solve_minimax_lp(pieces, dim)
+        scaled, _ = solve_minimax_lp([(scale * c, scale * a) for c, a in pieces], dim)
+        assert abs(scaled - scale * value) <= 1e-12 * scale, label
+
+
+def test_pivot_limit_names_the_problem(monkeypatch):
+    monkeypatch.setattr(minimax_lp, "_MAX_PIVOTS", 0)
+    pieces = [(0.0, np.array([-1.0, 1.0])), (0.0, np.array([1.0, -1.0]))]
+    with pytest.raises(SolverError, match=r"^pivot limit exceeded after 0 pivots "
+                                          r"\(2 pieces, dim 2\)$"):
+        solve_minimax_lp(pieces, 2)
 
 
 def test_value_matches_simplex_grid_scan():
@@ -118,8 +146,10 @@ def test_degenerate_duplicate_pieces_terminate():
 
 
 def test_phase1_ends_at_a_round_off_ray():
-    # a degenerate ratio tie pivots on the tiny slope, and round-off leaves
-    # an entering column with no positive entry while phase 1 is already at 0
+    # slopes six orders of magnitude apart: an epigraph tableau pivots on the
+    # tiny one at a degenerate ratio tie, and round-off can then leave an
+    # entering column with no positive entry; the game form's entries are
+    # exactly 2 and 1
     pieces = [(0, [2.9949209556789924e-07]), (0, [0.9512519850663219])]
     value, z = solve_minimax_lp(pieces, 1)
     assert value == pytest.approx(-2.9949209556789924e-07, rel=1e-9)
