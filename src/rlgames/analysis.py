@@ -16,7 +16,7 @@ from .game import (
     Game,
     _correlated_payoffs,
     _layout,
-    _payoff_vector_unchecked,
+    _payoff_vectors_unchecked,
     check_distribution,
     check_player,
     check_profile,
@@ -35,27 +35,28 @@ def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expecte
     """Cumulative external regret R_i(n) for n = 1..T.
 
     expected mode scores the played mixed profiles; realized mode scores
-    the sampled pure profiles and requires a run that actually sampled.
+    the sampled pure profiles, as one-hot rows, and requires a run that
+    actually sampled. Both read the payoff operator on flat rows; on
+    one-hot rows its entries are the pure payoffs exactly.
     """
     if game.n_actions != trajectory.n_actions:
         raise InputError("trajectory and game disagree on action counts")
     check_player(game, player)
+    layout = _layout(game.n_actions)
     if mode == "expected":
-        xs = check_profile(game, _layout(game.n_actions).split(trajectory.x), rows=True)
-        per_action = _payoff_vector_unchecked(game, player, trajectory.x)
-        value = (per_action * xs[player]).sum(axis=1)
+        check_profile(game, layout.split(trajectory.x), rows=True)
+        x = trajectory.x
     elif mode == "realized":
         acts = trajectory.realized
         if np.any(acts < 0):
             raise InputError("realized-mode regret needs a run with sampled actions")
-        u = game.payoffs[player]
-        value = u[tuple(acts.T)]
-        others = tuple(acts[:, j] for j in range(game.n_players) if j != player)
-        per_action = np.broadcast_to(
-            np.moveaxis(u, player, -1)[others], (trajectory.horizon, game.n_actions[player])
-        )
+        x = np.zeros((trajectory.horizon, layout.dim))
+        np.put_along_axis(x, acts + layout.offsets, 1.0, axis=1)
     else:
         raise InputError("regret mode must be 'expected' or 'realized'")
+    cols = layout.cols[player]
+    per_action = _payoff_vectors_unchecked(game, x)[:, cols]
+    value = (per_action * x[:, cols]).sum(axis=1)
     return np.cumsum(per_action, axis=0).max(axis=1) - np.cumsum(value)
 
 
@@ -175,19 +176,23 @@ def fit_rate(
     atol: float = 1e-12,
     window: float = 0.5,
 ) -> RateFit:
-    """Fit the decay law the kernel family predicts for club convergence.
+    """Fit the decay law the kernel predicts for club convergence.
 
-    The regression window keeps steps with atol < dist < `window`: the
-    upper cutoff drops the transient, the lower one drops the numerical
-    floor. Regression models need at least 20 points inside the window,
-    and fit the closed-form least-squares line about the window's means.
+    A non-steep kernel (``kernel.steep`` false: euclidean and power with
+    rho > 1) reaches the face in finite time, so its fit is the first
+    step with dist <= atol. Steep kernels are regressed: logit as
+    geometric, power with rho < 1 as inverse-square. The regression
+    window keeps steps with atol < dist < `window`: the upper cutoff
+    drops the transient, the lower one drops the numerical floor.
+    Regressions need at least 20 points inside the window, and fit the
+    closed-form least-squares line about the window's means.
     """
     if not 0 < atol < window:
         raise InputError("need 0 < atol < window")
     dist = face_distances(trajectory, face)
     tau = trajectory.tau
 
-    if kernel.variant == "quadratic":
+    if not kernel.steep:
         hits = np.flatnonzero(dist <= atol)
         if hits.size == 0:
             raise DiagnosticError(

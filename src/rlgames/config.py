@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .game import Game
+from .game import Game, _is_count
 from .learning import Bandit, Clairvoyant, FeedbackKind, Schedule
 from .regularizers import kernel_from_name
 
@@ -217,7 +217,7 @@ def _init_from(spec) -> InitSpec:
         if not isinstance(values, list) or not values:
             raise ConfigError("grid init values must be a nonempty list of finite numbers")
         values = tuple(_finite_number(v, "grid init value") for v in values)
-        if not isinstance(dims, int) or isinstance(dims, bool) or dims < 1:
+        if not _is_count(dims):
             raise ConfigError("grid init dims must be a positive integer")
         radius = _finite_number(radius, "grid init radius")
         if radius < 0:

@@ -16,14 +16,13 @@ from .analysis import check_limit_resilience, estimate_limit_set, fit_rate, regr
 from .builtin import BUILTIN_GAMES, builtin_game
 from .config import AUTO_FACES, ExperimentConfig
 from .errors import ConfigError, DiagnosticError, InputError
-from .faces import Face, check_face, distance_to_face, minimal_clubs
+from .faces import Face, _outside_mass, check_face, minimal_clubs
 from .game import Game, load_game
 from .learning import derive_run_seed, perturbation_stream, run, run_many
 from .regularizers import kernel_from_name
 from .trajectory import Trajectory, write_trajectory_csv
 
 CONVERGENCE_THRESHOLD = 0.05
-RESILIENCE_TOL = 0.02
 
 
 def load_game_spec(spec: str) -> Game:
@@ -73,8 +72,9 @@ def _face_key(face: Face) -> str:
 
 
 def _final_distances(game: Game, traj: Trajectory, faces) -> dict:
-    final = traj.profile_at(-1)
-    return {_face_key(f): distance_to_face(game, final, f) for f in faces}
+    """Each face's `distance_to_face` from the run's last row, unchecked."""
+    final = traj.x[-1:]
+    return {_face_key(f): float(_outside_mass(game.n_actions, f, final)[0]) for f in faces}
 
 
 def _rate_fit_entry(traj, face, kernel):
@@ -98,7 +98,7 @@ def diagnostic_report(game: Game, traj: Trajectory, kernel, faces) -> dict:
     """The per-run JSON report: regret, rate fits, limit set, resilience."""
     final_regret = [float(regret(traj, game, i)[-1]) for i in range(game.n_players)]
     limits = estimate_limit_set(traj)
-    resilience = check_limit_resilience(traj, game, tol=RESILIENCE_TOL)
+    resilience = check_limit_resilience(traj, game)
     return {
         "horizon": traj.horizon,
         "seed": traj.seed,
@@ -176,7 +176,7 @@ def execute_batch(config: ExperimentConfig, out_dir=None):
             write_trajectory_csv(traj, target / f"run_{index:03d}.csv", faces=faces)
         distances = _final_distances(game, traj, faces)
         min_dist = min(distances.values()) if distances else float("inf")
-        resilience = check_limit_resilience(traj, game, tol=RESILIENCE_TOL)
+        resilience = check_limit_resilience(traj, game)
         summaries.append({
             "run": index,
             "seed": traj.seed,

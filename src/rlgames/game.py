@@ -23,8 +23,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -98,6 +100,11 @@ def make_game(payoffs) -> Game:
 
 # ---------------------------------------------------------------------------
 # profile and distribution validation
+
+
+def _is_count(n) -> bool:
+    """Whether `n` is an integer of at least 1 (a bool is not a count)."""
+    return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
 
 
 def check_player(game: Game, player: int) -> None:
@@ -239,10 +246,8 @@ def payoff_pure(game: Game, player: int, actions) -> float:
 
 def payoff_mixed(game: Game, player: int, profile) -> float:
     """Expected payoff to `player` under an independent mixed profile."""
-    check_player(game, player)
-    xs = check_profile(game, profile)
-    v = _payoff_vector_unchecked(game, player, np.concatenate(xs)[None])[0]
-    return float((v * xs[player]).sum())
+    v = payoff_vector(game, player, profile)
+    return float((v * np.asarray(profile[player], dtype=float)).sum())
 
 
 def payoff_vector(game: Game, player: int, profile) -> np.ndarray:
@@ -252,8 +257,7 @@ def payoff_vector(game: Game, player: int, profile) -> np.ndarray:
     profile; the player's own strategy in `profile` is ignored.
     """
     check_player(game, player)
-    xs = check_profile(game, profile)
-    return _payoff_vector_unchecked(game, player, np.concatenate(xs)[None])[0]
+    return payoff_vectors(game, profile)[player]
 
 
 def payoff_vectors(game: Game, profile) -> list[np.ndarray]:
@@ -290,17 +294,16 @@ class _Stack:
         )
         self.table.flags.writeable = self.gather.flags.writeable = False
 
-    def contract(self, x, members: slice = slice(None)) -> np.ndarray:
-        """v of the block players `members` (a slice of the block) on flat
-        (R, D) rows, as (R, k, m).
+    def contract(self, x) -> np.ndarray:
+        """v of every block player on flat (R, D) rows, as (R, n_b, m).
 
         Each opponent is contracted as plain multiply-adds in action
         order, opponents ascending, so every entry is the same sum of the
-        same products whichever block, players or other rows it is
-        computed with.
+        same products as the player's tensor contracted alone, whatever
+        other rows it is computed with.
         """
-        val = self.table[..., members, :]
-        xs = x[:, self.gather[:, members], None]  # (R, sum o_s, k, 1)
+        val = self.table
+        xs = x[:, self.gather, None]  # (R, sum o_s, n_b, 1)
         a = 0
         for size in self.opponent_sizes:
             acc = val[0] * xs[:, a]
@@ -311,22 +314,17 @@ class _Stack:
         return val if len(val) == len(x) else np.repeat(val, len(x), axis=0)
 
 
-def _payoff_vector_unchecked(game: Game, player: int, x) -> np.ndarray:
-    """v_player on flat (R, D) rows, as (R, m_player)."""
-    for stack in game._stacks:
-        if player < stack.players.stop:
-            k = player - stack.players.start
-            return stack.contract(x, slice(k, k + 1))[:, 0]
-
-
 def _payoff_vectors_unchecked(game: Game, x, out=None) -> np.ndarray:
     """The payoff operator v(x) on flat (R, D) rows, as flat rows.
 
     Two players' tensors, each with its own axis moved aside, share a
     shape exactly when the players lie in one layout block (a run of
     consecutive players with equal action counts). So each block is one
-    stacked contraction, written into the block's columns, and every
-    entry has the bits that player's own contraction would give.
+    stacked contraction, written into the block's columns. Every entry is
+    the same sum of the same products as that player's contraction alone,
+    so a caller that needs one player's vector takes its columns. On
+    one-hot rows (pure profiles) every product is with 1.0 or 0.0, so
+    the entries are the payoffs themselves, exactly.
     """
     out = np.empty(x.shape) if out is None else out
     for stack in game._stacks:
@@ -444,17 +442,17 @@ def game_from_dict(data: dict) -> Game:
             raise InputError(f"game document is missing the '{key}' field")
     players = data["players"]
     actions = data["actions"]
-    if not isinstance(players, int) or players < 1:
+    if not _is_count(players):
         raise InputError("'players' must be a positive integer")
     if not isinstance(actions, list) or len(actions) != players:
         raise InputError("'actions' must list one action count per player")
-    if not all(isinstance(m, int) and m >= 1 for m in actions):
+    if not all(_is_count(m) for m in actions):
         raise InputError("every action count must be a positive integer")
     payoffs = data["payoffs"]
     if not isinstance(payoffs, list) or len(payoffs) != players:
         raise InputError("'payoffs' must list one flat table per player")
     shape = tuple(actions)
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     tables = []
     for i, flat in enumerate(payoffs):
         # ints compare exactly, so this rejects NaN, Inf and any integer too

@@ -50,23 +50,18 @@ and batches stay reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .errors import InputError, NumericError, ResourceLimitError
-from .game import Game, _check_simplex, _flat, _layout, check_profile
+from .game import Game, _check_simplex, _flat, _is_count, _layout, check_profile
 from .game import _payoff_vectors_unchecked as _field
 from .regularizers import Kernel, _choice_blocks
 from .trajectory import Trajectory
 
 _INIT_STREAM = 0xFFFFFFFF  # reserved substream for initial-score perturbation
 _DERIVE_ROWS = 1024  # steps per block of uniform draws and of derived rows
-
-
-def _is_count(n) -> bool:
-    """Whether `n` is an integer of at least 1 (a bool is not a count)."""
-    return isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
 
 
 @dataclass(frozen=True)

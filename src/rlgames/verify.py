@@ -51,6 +51,7 @@ from .learning import (
     lipschitz_estimate,
     perturbation_stream,
     run,
+    sample_actions,
 )
 from .regularizers import choice_map, conjugate, kernel_from_name
 from .trajectory import face_distances
@@ -60,8 +61,7 @@ from .trajectory import face_distances
 class Check:
     cid: str
     title: str
-    budget: float | None
-    warm: bool  # time a second pass (sub-second budgets only)
+    budget: float | None  # seconds; a sub-second budget times a warm second pass
     fn: object
 
 
@@ -239,20 +239,17 @@ def _check_iwe_unbiased(ctx):
                 enum[i] += prob * est[i]
     enum_err = max(float(np.abs(e - v).max()) for e, v in zip(enum, expected))
 
+    # the program's own sampler and estimator on 100 000 copies of xhat
     rng = np.random.default_rng(505)
     draws = 100_000
-    u = rng.random((draws, 2))
-    acts = np.stack([(u[:, i] >= xhat[i][0]).astype(int) for i in range(2)], axis=1)
+    tiled = [np.tile(x, (draws, 1)) for x in xhat]
+    acts = sample_actions(tiled, rng.random((draws, 2)))
     ok_mc = True
     mc_stats = []
-    for i in range(2):
-        payoff = g.payoffs[i][acts[:, 0], acts[:, 1]]
-        samples = np.zeros((draws, 2))
-        rows = np.arange(draws)
-        samples[rows, acts[:, i]] = payoff / xhat[i][acts[:, i]]
+    for samples, v in zip(iwe(g, tiled, acts), expected):
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(draws)
-        z = np.abs(mean - expected[i]) / se
+        z = np.abs(mean - v) / se
         mc_stats.append(float(z.max()))
         ok_mc &= bool((z <= 3.0).all())
     return (
@@ -457,28 +454,28 @@ def _check_determinism(ctx):
 
 
 CHECKS = (
-    Check("c01", "correlated replay gap on vz4x4 equals -1/6", 0.001, True,
+    Check("c01", "correlated replay gap on vz4x4 equals -1/6", 0.001,
           _check_replay_gap),
-    Check("c02", "vz4x4 equilibrium and club structure", 0.010, True,
+    Check("c02", "vz4x4 equilibrium and club structure", 0.010,
           _check_vz_structure),
     Check("c03", "strict equilibria match singleton clubs on random games", 5.0,
-          False, _check_singleton_club_equivalence),
+          _check_singleton_club_equivalence),
     Check("c04", "choice maps, conjugates, and coupling inequalities", 10.0,
-          False, _check_mirror_maps),
-    Check("c05", "importance-weighted estimator is unbiased", 2.0, False,
+          _check_mirror_maps),
+    Check("c05", "importance-weighted estimator is unbiased", 2.0,
           _check_iwe_unbiased),
     Check("c06", "bias and payoff estimates stay inside their envelopes", 5.0,
-          False, _check_feedback_envelopes),
-    Check("c07", "distance decay laws per kernel family", 30.0, False,
+          _check_feedback_envelopes),
+    Check("c07", "distance decay laws per kernel family", 30.0,
           _check_rate_laws),
-    Check("c08", "bandit grid batches settle on minimal clubs", 120.0, False,
+    Check("c08", "bandit grid batches settle on minimal clubs", 120.0,
           _check_bandit_grid),
     Check("c09", "non-club face escapes and keeps its witness energy", None,
-          False, _check_nonclub_escape),
-    Check("c10", "batch limit sets pass the resilience audit", None, False,
+          _check_nonclub_escape),
+    Check("c10", "batch limit sets pass the resilience audit", None,
           _check_batch_resilience),
     Check("c11", "reruns are byte-identical", 10.0,
-          False, _check_determinism),
+          _check_determinism),
 )
 
 
@@ -488,7 +485,7 @@ def list_checks() -> list[tuple[str, str]]:
 
 def run_check(check: Check, ctx: dict) -> CheckResult:
     try:
-        if check.warm:
+        if check.budget is not None and check.budget < 1.0:
             check.fn(ctx)
         start = time.perf_counter()
         ok, measured, tolerance = check.fn(ctx)

@@ -118,7 +118,9 @@ def test_regret_vanishes_on_a_constant_game():
 
 def test_realized_regret_uses_sampled_actions(vz):
     fb = Bandit(exploration=Schedule(0.1, 0.15))
-    for game in (vz, builtin_game("parity")):
+    # (3, 2, 2) has two layout blocks, so its one-hot rows meet two stacks
+    mixed = make_game(np.random.default_rng(4).integers(-3, 4, (3, 3, 2, 2)))
+    for game in (vz, builtin_game("parity"), mixed):
         traj = run(game, LOGIT, fb, Schedule(0.2, 0.5), 300, seed=8)
         for i in range(game.n_players):
             r = regret(traj, game, i, mode="realized")
@@ -342,6 +344,19 @@ def test_fit_reports_the_finite_hitting_step():
     assert fit.model == "finite_hit"
     assert fit.hit_index == 41  # 1-based step of the first exact arrival
     assert isinstance(fit, RateFit)
+
+
+@pytest.mark.parametrize("name,hit", [("power:1.5", 25), ("power:1.9", 12)])
+def test_non_steep_power_kernels_fit_their_finite_hitting_step(name, hit):
+    # rho > 1 is not steep: the map returns exact zeros, so the run lands
+    # on the face, as the euclidean kernel's does
+    g = builtin_game("parity")
+    kernel = kernel_from_name(name)
+    traj = run(g, kernel, Full(), Schedule(0.2, 0.0), 600,
+               y0=[np.array([0.2, -0.2])] * 3, seed=0)
+    fit = fit_rate(traj, face_from_lists([[0], [0], [0]]), kernel)
+    assert fit.model == "finite_hit"
+    assert fit.hit_index == hit
 
 
 def test_fit_diagnostic_errors():

@@ -12,7 +12,8 @@ from rlgames import builtin_game, game_to_json, minimal_clubs
 from rlgames.builtin import BUILTIN_GAMES
 from rlgames.cli import analyze_game, main
 from rlgames.experiments import _face_key
-from rlgames.game import make_game
+from rlgames.errors import InputError
+from rlgames.game import game_from_dict, make_game
 import rlgames.verify as verify
 
 
@@ -220,6 +221,26 @@ def test_malformed_game_payoffs_exit_2_with_a_json_error(tmp_path, capsys, entry
     assert fragment in err["message"]
 
 
+@pytest.mark.parametrize("doc,fragment", [
+    ({"players": True, "actions": [2], "payoffs": [[1, 0]]},
+     "'players' must be a positive integer"),
+    ({"players": 2, "actions": [True, 2], "payoffs": [[1, 0], [0, 1]]},
+     "every action count must be a positive integer"),
+    # a fixed-width product would wrap the size 2**64 to 0
+    ({"players": 2, "actions": [2**32, 2**32], "payoffs": [[], []]},
+     f"payoff table for player 0 must be a flat list of {2**64} finite numbers"),
+], ids=["bool-players", "bool-action-count", "size-past-int64"])
+def test_malformed_game_counts_exit_2_with_a_json_error(tmp_path, capsys, doc, fragment):
+    with pytest.raises(InputError, match=fragment):
+        game_from_dict(doc)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "InputError", "message": fragment}
+
+
 def test_a_negative_face_action_exits_2_with_a_json_error(tmp_path, capsys):
     # numpy would read action -1 as the last action and track {3}x{0}
     cfg = write_config(tmp_path, faces=[[[-1], [0]], [[3], [0]]])
@@ -402,7 +423,7 @@ def test_a_check_that_raises_prints_its_error_as_measured(monkeypatch):
     def crash(ctx):
         raise RuntimeError("engine on fire")
 
-    check = verify.Check("c01", "a check that raises", 0.5, True, crash)
+    check = verify.Check("c01", "a check that raises", 0.5, crash)
     monkeypatch.setattr(verify, "CHECKS", (check,))
     printed = []
     results = verify.run_suite(printer=printed.append)

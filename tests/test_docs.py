@@ -61,10 +61,9 @@ def test_module_imports_are_used():
 # exported, with no caller in the package or the demos
 UNCALLED_EXPORTS = {
     "deviation_vectors",  # per-swap energies for ROADMAP items 1-2
+    "distance_to_face",  # the checked one-profile form of face_distances (README)
     "game_to_json",  # the canonical writer the game fixtures are pinned to
     "payoff_mixed",  # timed by perfbench/worker.py
-    "payoff_vectors",  # timed by perfbench/worker.py
-    "sample_actions",  # timed by perfbench/worker.py
     "uniform_table",  # the draw contract that README's Determinism section states
 }
 
