@@ -11,16 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError, InputError
-from .faces import Face, DeviationVector, is_resilient, ResilienceReport
+from .faces import Face, DeviationVector, ResilienceReport, _resilience_unchecked
 from .game import (
     Game,
     _correlated_payoffs,
+    _flat,
     _layout,
     _payoff_vectors_unchecked,
     check_distribution,
     check_player,
     check_profile,
 )
+from .learning import _DERIVE_ROWS
 from .regularizers import Kernel
 from .trajectory import Trajectory, face_distances
 
@@ -39,9 +41,16 @@ def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expecte
     actually sampled. Both read the payoff operator on flat rows; on
     one-hot rows its entries are the pure payoffs exactly.
     """
+    check_player(game, player)
+    return _regrets(trajectory, game, mode)[:, player]
+
+
+def _regrets(trajectory: Trajectory, game: Game, mode: str = "expected") -> np.ndarray:
+    """Every player's :func:`regret`, as the (T, N) columns of one array,
+    from one pass of the payoff operator over the scored rows. The
+    operator treats each row alone, so the blocks give the same bits."""
     if game.n_actions != trajectory.n_actions:
         raise InputError("trajectory and game disagree on action counts")
-    check_player(game, player)
     layout = _layout(game.n_actions)
     if mode == "expected":
         check_profile(game, layout.split(trajectory.x), rows=True)
@@ -54,10 +63,16 @@ def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expecte
         np.put_along_axis(x, acts + layout.offsets, 1.0, axis=1)
     else:
         raise InputError("regret mode must be 'expected' or 'realized'")
-    cols = layout.cols[player]
-    per_action = _payoff_vectors_unchecked(game, x)[:, cols]
-    value = (per_action * x[:, cols]).sum(axis=1)
-    return np.cumsum(per_action, axis=0).max(axis=1) - np.cumsum(value)
+    # v(x) in blocks of rows, so the contraction's temporaries stay small
+    v = np.empty(x.shape)
+    for a in range(0, len(x), _DERIVE_ROWS):
+        _payoff_vectors_unchecked(game, x[a:a + _DERIVE_ROWS], v[a:a + _DERIVE_ROWS])
+    out = np.empty((trajectory.horizon, game.n_players))
+    for i, cols in enumerate(layout.cols):
+        per_action = v[:, cols]
+        value = (per_action * x[:, cols]).sum(axis=1)
+        out[:, i] = np.cumsum(per_action, axis=0).max(axis=1) - np.cumsum(value)
+    return out
 
 
 def regret_from_distributions(game: Game, player: int, dists) -> np.ndarray:
@@ -143,7 +158,9 @@ def check_limit_resilience(
     if game.n_actions != trajectory.n_actions:
         raise InputError("trajectory and game disagree on action counts")
     est = estimate_limit_set(trajectory, window_fraction=window_fraction, epsilon=epsilon)
-    return is_resilient(game, [list(p) for p in est.points], tol=tol)
+    # the points are rows of the run's own record, so they skip validation
+    x, _ = _flat(np.stack(col) for col in zip(*est.points))
+    return _resilience_unchecked(game, x, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .analysis import check_limit_resilience, estimate_limit_set, fit_rate, regret
+from .analysis import _regrets, check_limit_resilience, estimate_limit_set, fit_rate
 from .builtin import BUILTIN_GAMES, builtin_game
 from .config import AUTO_FACES, ExperimentConfig
 from .errors import ConfigError, DiagnosticError, InputError
@@ -96,7 +96,7 @@ def _rate_fit_entry(traj, face, kernel):
 
 def diagnostic_report(game: Game, traj: Trajectory, kernel, faces) -> dict:
     """The per-run JSON report: regret, rate fits, limit set, resilience."""
-    final_regret = [float(regret(traj, game, i)[-1]) for i in range(game.n_players)]
+    final_regret = _regrets(traj, game)[-1].tolist()
     limits = estimate_limit_set(traj)
     resilience = check_limit_resilience(traj, game)
     return {

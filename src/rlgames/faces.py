@@ -318,12 +318,19 @@ def is_resilient(game: Game, points, tol: float = 0.0) -> ResilienceReport:
     Nonnegative gaps (within `tol`) for all players certify that no fixed
     mixture beats the set uniformly.
     """
-    if not tol >= 0:
-        raise InputError("tolerance must be nonnegative")
     pts = [check_profile(game, p) for p in points]
     if not pts:
         raise InputError("at least one candidate point is required")
-    x, layout = _flat(np.stack(col) for col in zip(*pts))
+    x, _ = _flat(np.stack(col) for col in zip(*pts))
+    return _resilience_unchecked(game, x, tol)
+
+
+def _resilience_unchecked(game: Game, x, tol: float) -> ResilienceReport:
+    """:func:`is_resilient` on K candidate points given as flat (K, D)
+    profile rows, which it does not validate."""
+    if not tol >= 0:
+        raise InputError("tolerance must be nonnegative")
+    layout = _layout(game.n_actions)
     v = _payoff_vectors_unchecked(game, x)
     gaps = []
     witnesses = []

@@ -27,18 +27,20 @@ bit the single run from the same seed and start. :func:`run` is the
 one-run case.
 
 The step loop computes only what the recursion needs and records only
-what cannot be recomputed from the play: x, the realized actions under
-bandit feedback, and vhat under mirror-prox and clairvoyant feedback,
-whose half-step or fixed point depends on the scores. Every other vhat is
-a row-wise function of the play, written once in :func:`_gain`, which a
-trajectory calls on B steps of one run and the full and optimistic step
-on R runs at one step. The bandit estimate's entries have one owner,
-:func:`_iwe_entries`: the step adds them into the scores, and
-:func:`_gain` and :func:`iwe` write them into zeros. Scores, that vhat,
-bias, noise and the regret summands are derived from the recorded rows
-on first read, with the step's arithmetic in the step's order, so the
-record is the same bits either way and a caller that never reads them
-never pays for them.
+what cannot be recomputed from the play: x, and vhat under mirror-prox
+and clairvoyant feedback, whose half-step or fixed point depends on the
+scores. A bandit draw is a function of the recorded x_n, the exploration
+weight delta_n and the run's Philox streams, so the step draws into one
+scratch row and a trajectory replays its draws on read. Every other
+vhat is a row-wise function of the play, written once in :func:`_gain`,
+which a trajectory calls on B steps of one run and the full and
+optimistic step on R runs at one step. The bandit estimate's entries
+have one owner, :func:`_iwe_entries`: the step adds them into the
+scores, and :func:`_gain` and :func:`iwe` write them into zeros. Scores,
+the realized actions, that vhat, bias, noise and the regret summands are
+derived from the recorded rows on first read, with the step's arithmetic
+in the step's order, so the record is the same bits either way and a
+caller that never reads them never pays for them.
 
 Randomness (bandit sampling only) comes from the counter-based Philox
 generator, keyed per (run seed, player): the draw used by player i at step
@@ -312,10 +314,16 @@ class _Derivation:
 
     `deltas` holds the exploration weight of every step (bandit feedback
     only). A call returns the one field it is asked for, so a read caches
-    only that field. Scores are summed from vhat. The other fields take
-    one pass over the recorded rows, in blocks of at most ``_DERIVE_ROWS``
-    steps, each block evaluating v(x) once and carrying its last row into
-    the next as v(x_{n-1}) (x_0 := x_1 at step 1):
+    only that field. Scores are summed from vhat. A bandit run's realized
+    actions replay its draws: the run's rows of :func:`uniform_table`
+    against the recorded rows explored with `deltas`, one
+    :func:`_sample_actions_unchecked` call per layout block and block of
+    ``_DERIVE_ROWS`` steps. That is the step's own explore, running sums
+    and count, and a running sum adds in the same order whatever the
+    layout, so the actions are the ones the step drew. The other fields
+    take one pass over the recorded rows, in blocks of at most
+    ``_DERIVE_ROWS`` steps, each block evaluating v(x) once and carrying
+    its last row into the next as v(x_{n-1}) (x_0 := x_1 at step 1):
 
     - gaps: the (T, N) regret summands max_a v_i(x)_a - <v_i(x), x_i>;
     - vhat: from :func:`_gain` unless the step recorded it;
@@ -338,6 +346,16 @@ class _Derivation:
             return np.cumsum(scores, axis=0, out=scores)
         game, feedback = self.game, self.feedback
         layout = _layout(game.n_actions)
+        if name == "realized":
+            u = uniform_table(traj.seed, traj.n_players, traj.horizon)
+            out = np.empty(u.shape, dtype=np.int64)
+            for a in range(0, traj.horizon, _DERIVE_ROWS):
+                rows = slice(a, a + _DERIVE_ROWS)
+                xhat = _explored_unchecked(traj.x[rows], self.deltas[rows, None], layout.m_col)
+                for players, cols, m in layout.blocks:
+                    xb = xhat[:, cols].reshape(len(xhat), -1, m).transpose(2, 0, 1)
+                    _sample_actions_unchecked(xb, u[rows, players], out[rows, players])
+            return out
         bandit = isinstance(feedback, Bandit)
         recorded = traj.vhat if isinstance(feedback, _RECORDED) else None
         out = np.empty((traj.horizon, traj.n_players) if name == "gaps" else traj.x.shape)
@@ -417,21 +435,22 @@ def run_many(
     streams.
 
     Each step computes only what the next scores depend on. It stores x,
-    the realized actions under bandit feedback and vhat under mirror-prox
-    and clairvoyant feedback. Full and optimistic steps take vhat from
-    :func:`_gain`. Bandit runs never evaluate v(x): a step explores each
-    block's play into action-major (m, R, n_b) buffers, allocated once
-    per call, draws from them, and adds the N entries of
+    and vhat under mirror-prox and clairvoyant feedback. Full and
+    optimistic steps take vhat from :func:`_gain`. Bandit runs never
+    evaluate v(x): a step explores each block's play into action-major
+    (m, R, n_b) buffers, draws from them into one (R, N) row of realized
+    actions, all allocated once per call, and adds the N entries of
     :func:`_iwe_entries` per row into the scores, and the runs draw
-    ``_DERIVE_ROWS`` steps of each (seed, player) stream at a time. Each trajectory derives its
-    scores, the vhat it did not store, bias, noise and regret summands
-    from those rows on first read, one field per call of
-    :class:`_Derivation`. The runs of a batch share one read-only array
-    each for n, gamma and tau, and runs that never sample share one
-    read-only block of -1 for their realized actions. Scores that overflow
-    (under bandit feedback only the N a step moved can) raise
-    :class:`InputError` naming the step, the run and its seed; a
-    record too large to allocate raises :class:`ResourceLimitError`.
+    ``_DERIVE_ROWS`` steps of each (seed, player) stream at a time. Each
+    trajectory derives its scores, a bandit run's realized actions, the
+    vhat it did not store, bias, noise and regret summands from those
+    rows on first read, one field per call of :class:`_Derivation`. The
+    runs of a batch share one read-only array each for n, gamma and tau,
+    and runs that never sample share one read-only block of -1 for their
+    realized actions. Scores that overflow (under bandit feedback only the
+    N a step moved can) raise :class:`InputError` naming the step, the run
+    and its seed; a record too large to allocate raises
+    :class:`ResourceLimitError`.
     """
     if not _is_count(horizon):
         raise InputError("horizon must be a positive integer")
@@ -451,10 +470,8 @@ def run_many(
             # each player's next _DERIVE_ROWS draws, per run
             draws = np.empty((R, N, min(T, _DERIVE_ROWS)))
             deltas = np.empty(T)
-            # step-major, so each step writes one contiguous (R, N) block
-            out_real = np.empty((T, R, N), dtype=np.int64)
         else:
-            deltas = out_real = None
+            deltas = None
         out_gamma = np.empty(T)
         out_tau = np.empty(T)
         out_x = np.empty((R, T, D))
@@ -468,6 +485,7 @@ def run_many(
     if bandit:
         streams = [[player_stream(s, i) for i in range(N)] for s in seeds]
         base = np.arange(0, R * D, D)[:, None] + layout.offsets  # each player's action 0
+        acts = np.empty((R, N), dtype=np.int64)  # the step's realized actions
         prob = np.empty((R, N))  # the explored probability of each realized action
         # per block: action-major (m, R, n_b) buffers for the explored play
         # and its running sums, and the place of each (run, player) in a slab
@@ -493,7 +511,7 @@ def run_many(
                     for i, stream in enumerate(row):
                         stream.random(out=draws[r, i, :b])
             delta = deltas[k] = feedback.exploration.value(k + 1)
-            acts, u = out_real[k], draws[:, :, j]
+            u = draws[:, :, j]
             for players, cols, m, (xb, c), place in blocks:
                 xv = x[:, cols].reshape(R, -1, m).transpose(2, 0, 1)
                 a = acts[:, players]
@@ -536,11 +554,9 @@ def run_many(
     steps = np.arange(1, T + 1, dtype=np.int64)
     for shared in (steps, out_gamma, out_tau):
         shared.flags.writeable = False
-    if out_real is None:
-        # runs that never sample share one read-only block of -1
-        out_real = np.broadcast_to(np.int64(-1), (R, T, N))
-    else:
-        out_real = out_real.transpose(1, 0, 2)
+    # runs that never sample share one read-only block of -1; bandit runs
+    # replay their draws on read
+    out_real = None if bandit else np.broadcast_to(np.int64(-1), (R, T, N))
     derive = _Derivation(game, feedback, deltas)
     return [
         Trajectory(
@@ -553,7 +569,7 @@ def run_many(
             gamma=out_gamma,
             tau=out_tau,
             x=out_x[r],
-            realized=out_real[r],
+            realized=None if out_real is None else out_real[r],
             vhat=None if out_vhat is None else out_vhat[r],
             derive=derive,
         )

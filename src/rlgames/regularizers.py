@@ -198,10 +198,10 @@ def _power_choice(kernel: Kernel, batch):
     residual closes, so it maps to the same bits whatever other rows
     share the batch. Every evaluation writes the terms of f and of -f'
     into one buffer and sums both in one reduction into the fixed views
-    s and ds. The residual, the open-row mask and the Newton step have
-    buffers of their own too, so on steep kernels an iteration allocates
-    no array: at a few rows its cost is numpy call overhead, not
-    arithmetic.
+    s and ds. That buffer, the residual, the open-row mask and the Newton
+    step are views of one workspace, so on steep kernels an iteration
+    allocates no array: at a few rows its cost is numpy call overhead,
+    not arithmetic.
     """
     rows, m = batch.shape
     if m == 1:
@@ -211,18 +211,21 @@ def _power_choice(kernel: Kernel, batch):
     inv_exp = 1.0 / scale
     steep = kernel.steep
     batch = batch - np.maximum.reduce(batch, axis=1, keepdims=True)
-    mu = np.empty((rows, 1))
-    mu.fill(-kernel.theta_prime_at_one())
-    w = np.empty((rows, m))
-    buf = np.empty((2, rows, m))
+    # one workspace: w, the terms of f and those of -f', (rows, m) each;
+    # then s, ds, mu, resid, err and step, (rows,) each; then the open-row
+    # mask, viewed as bools
+    cells = rows * m
+    work = np.empty(3 * cells + 6 * rows + -(-rows // 8))
+    w = work[:cells].reshape(rows, m)
+    buf = work[cells:3 * cells].reshape(2, rows, m)
     x, dx = buf
-    sums = np.empty((2, rows))
+    vecs = work[3 * cells:3 * cells + 6 * rows].reshape(6, rows)
+    sums = vecs[:2]
     s, ds = sums  # f and -f' at mu, rowwise
-    resid = np.empty(rows)
-    err = np.empty(rows)
-    step = np.empty(rows)
-    mu_rows = mu[:, 0]
-    open_rows = np.empty(rows, dtype=bool)
+    mu_rows, resid, err, step = vecs[2:]
+    mu = mu_rows[:, None]
+    mu_rows.fill(-kernel.theta_prime_at_one())
+    open_rows = work[3 * cells + 6 * rows:].view(bool)[:rows]
 
     def eval_at():
         np.subtract(batch, mu, out=w)
@@ -248,7 +251,7 @@ def _power_choice(kernel: Kernel, batch):
     for _ in range(_NEWTON_ITERS):
         np.subtract(s, 1.0, out=resid)
         np.greater(np.abs(resid, out=err), _CLOSE_TOL, out=open_rows)
-        if not np.logical_or.reduce(open_rows):
+        if not np.count_nonzero(open_rows):
             break
         np.add(mu_rows, np.divide(resid, ds, out=step), out=mu_rows, where=open_rows)
         eval_at()

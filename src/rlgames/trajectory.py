@@ -1,14 +1,16 @@
 """Time-indexed run records and their CSV interchange format.
 
 A Trajectory holds a run step by step as flat (T, D) rows, player-major
-in the layout ``game._layout`` owns: played profiles and sampled actions
-are stored, and so are the surrogate gain vectors where the run could
-not recompute them from the play (mirror-prox, clairvoyant and
-hand-built records). Scores, the gains that were not stored, the
-bias/noise split of the gains and the per-player instantaneous regret
-summands are derived from them on first read, each field on its own,
-and then cached, so a caller pays only for the fields it reads. The CSV
-format is a strict subset with a fixed column order:
+in the layout ``game._layout`` owns. It stores the played profiles, and
+the sampled actions and surrogate gain vectors where they are given: by
+hand-built records, by runs that never sample (a block of -1) and, for
+the gains, by mirror-prox and clairvoyant runs, which cannot recompute
+them from the play. Scores, a bandit run's sampled actions, the gains
+that were not stored, the bias/noise split of the gains and the
+per-player instantaneous regret summands are derived from them on first
+read, each field on its own, and then cached, so a caller pays only for
+the fields it reads. The CSV format is a strict subset with a fixed
+column order:
 
     n, gamma, tau,
     x_<player>_<action> ... (player-major, action-major),
@@ -41,12 +43,15 @@ _CSV_ROWS = 16  # rows per block: larger blocks leave freed heap resident
 class Trajectory:
     """Record of one learning run.
 
-    Stored: y0, n, gamma, tau, x and realized, plus vhat when it is
-    given. `derive(traj, name)` returns the array of the derived field
-    `name`, which is then cached; the engine passes one, a hand-built
-    trajectory may not. The derived fields are:
+    Stored: y0, n, gamma, tau and x, plus realized and vhat when they
+    are given. `derive(traj, name)` returns the array of the derived
+    field `name`, which is then cached; the engine passes one, a
+    hand-built trajectory may not. The derived fields are:
 
     - scores: (T, D) scores y_n matching x rows
+    - realized: (T, N) sampled actions, -1 where the run did not sample,
+      unless given (the engine gives the block of -1 for runs that never
+      sample and replays the bandit draws from x and the run's seed)
     - vhat: (T, D) surrogate gains, unless given (the engine gives them
       for mirror-prox and clairvoyant runs, whose gains depend on the
       scores, and derives the full, optimistic and bandit ones)
@@ -63,15 +68,16 @@ class Trajectory:
     gamma: np.ndarray  # (T,)
     tau: np.ndarray  # (T,) running sum of gamma
     x: np.ndarray  # (T, D) played profiles, flattened player-major
-    realized: np.ndarray  # (T, N) sampled actions, -1 when not sampled
+    realized: InitVar[np.ndarray | None] = None  # (T, N) sampled actions, when stored
     vhat: InitVar[np.ndarray | None] = None  # (T, D) surrogate gains, when stored
     derive: Callable | None = field(default=None, repr=False)
     _derived: dict = field(init=False, default_factory=dict, repr=False)
 
-    def __post_init__(self, vhat):
+    def __post_init__(self, realized, vhat):
         self.n_actions = tuple(int(m) for m in self.n_actions)
-        if vhat is not None:
-            self._derived["vhat"] = vhat
+        for name, given in (("realized", realized), ("vhat", vhat)):
+            if given is not None:
+                self._derived[name] = given
 
     def _read(self, name: str) -> np.ndarray:
         if name not in self._derived:
@@ -101,8 +107,9 @@ class Trajectory:
         return [x.copy() for x in _layout(self.n_actions).split(self.x[k])]
 
 
-# set after the class body, where vhat no longer reads as the InitVar's default
-for _name in ("scores", "vhat", "bias", "noise", "gaps"):
+# set after the class body, where realized and vhat no longer read as the
+# InitVars' defaults
+for _name in ("scores", "realized", "vhat", "bias", "noise", "gaps"):
     setattr(Trajectory, _name, property(methodcaller("_read", _name)))
 
 

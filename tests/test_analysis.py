@@ -46,11 +46,11 @@ def vz_traj(vz):
 
 def make_traj(n_actions, x, gamma=0.1):
     """Hand-built trajectory carrying only the fields diagnostics read;
-    with no derivation source, it has no scores, vhat, bias, noise or gaps."""
+    with no derivation source, it has no scores, realized actions, vhat,
+    bias, noise or gaps."""
     x = np.asarray(x, dtype=float)
     T = len(x)
     D = sum(n_actions)
-    N = len(n_actions)
     gam = np.full(T, float(gamma))
     return Trajectory(
         n_actions=tuple(n_actions),
@@ -62,11 +62,10 @@ def make_traj(n_actions, x, gamma=0.1):
         gamma=gam,
         tau=np.cumsum(gam),
         x=x,
-        realized=np.full((T, N), -1, dtype=np.int64),
     )
 
 
-@pytest.mark.parametrize("name", ["scores", "bias", "noise", "gaps", "vhat"])
+@pytest.mark.parametrize("name", ["scores", "bias", "noise", "gaps", "vhat", "realized"])
 def test_hand_built_trajectory_names_the_field_it_cannot_derive(name):
     traj = make_traj((2, 2), np.full((5, 4), 0.5))
     with pytest.raises(InputError, match=f"'{name}'"):

@@ -64,7 +64,7 @@ UNCALLED_EXPORTS = {
     "distance_to_face",  # the checked one-profile form of face_distances (README)
     "game_to_json",  # the canonical writer the game fixtures are pinned to
     "payoff_mixed",  # timed by perfbench/worker.py
-    "uniform_table",  # the draw contract that README's Determinism section states
+    "regret",  # one player's column of the regrets that the report takes at once
 }
 
 

@@ -28,7 +28,8 @@ from rlgames import (
     sample_actions,
     uniform_table,
 )
-from rlgames import learning
+from rlgames import experiments, learning
+from rlgames.config import config_from_dict
 from rlgames.game import make_game, payoff_vectors
 
 
@@ -401,6 +402,50 @@ def test_bandit_steps_match_the_public_blocks_across_draw_blocks(game_name, kern
     step_public_blocks(game_name, kernel_name, 1100)
 
 
+@pytest.mark.parametrize("game_name,kernel_name", STEP_CASES)
+def test_bandit_replay_reproduces_the_play(game_name, kernel_name, monkeypatch):
+    # a bandit run keeps no realized actions; the replay on read, here in
+    # blocks of 7 steps, gives the step's draws: the scores summed from the
+    # estimates on them map to the recorded x rows bit for bit, and they
+    # are sample_actions on the explored rows with uniform_table
+    game = game_named(game_name)
+    kernel = kernel_from_name(kernel_name)
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    T = 30
+    monkeypatch.setattr(learning, "_DERIVE_ROWS", 7)
+    batch = run_many(game, kernel, fb, Schedule(0.2, 0.5), T, random_starts(game, 3))
+    layout = learning._layout(game.n_actions)
+    delta = np.array([fb.exploration.value(n) for n in range(1, T + 1)])[:, None]
+    for traj in batch:
+        assert "realized" not in traj._derived
+        x = learning._choice_blocks(kernel, traj.scores, layout.blocks)
+        assert x.tobytes() == traj.x.tobytes()
+        xhat = [(1 - delta) * xi + delta / xi.shape[1] for xi in layout.split(traj.x)]
+        table = uniform_table(traj.seed, game.n_players, T)
+        assert traj.realized.tobytes() == sample_actions(xhat, table).tobytes()
+
+
+def test_bandit_batches_leave_the_realized_actions_underived(monkeypatch):
+    # nothing an in-memory batch reports reads the realized actions
+    kept = []
+
+    def keeping(*args):
+        trajectories = run_many(*args)
+        kept.extend(trajectories)
+        return trajectories
+
+    monkeypatch.setattr(experiments, "run_many", keeping)
+    config = config_from_dict({
+        "game": "parity", "kernel": "logit", "feedback": "bandit",
+        "exploration": {"base": 0.1, "exponent": 0.15},
+        "step": {"base": 0.2, "exponent": 0.5}, "horizon": 40, "seed": 5,
+        "init": {"kind": "grid"}, "faces": "auto:minimal_clubs",
+    })
+    summaries, _ = experiments.execute_batch(config)
+    assert len(kept) == len(summaries) > 1
+    assert not any("realized" in traj._derived for traj in kept)
+
+
 def test_bandit_exploration_must_stay_in_range():
     with pytest.raises(InputError):
         Bandit(exploration=Schedule(1.5, 0.0))
@@ -628,14 +673,12 @@ def test_derived_fields_are_cached(vz):
 
 @pytest.mark.parametrize("label", ["full", "bandit", "mirror_prox"])
 def test_batch_stores_vhat_only_where_it_depends_on_the_scores(vz, label):
-    # full, optimistic and bandit gains are functions of the recorded rows,
-    # so the batch holds x (and the realized actions) plus a small working
-    # set, and scores, vhat, bias, noise and gaps are derived only when
-    # read; mirror-prox and clairvoyant gains are recorded beside x
+    # full, optimistic and bandit gains and the bandit draws are functions
+    # of the recorded rows, so the batch holds x plus a small working set,
+    # and scores, realized actions, vhat, bias, noise and gaps are derived
+    # only when read; mirror-prox and clairvoyant gains are recorded beside x
     R, T = 27, 2000
     dense = R * T * sum(vz.n_actions) * np.dtype(float).itemsize
-    realized = R * T * vz.n_players * np.dtype(np.int64).itemsize
-    stored = dense + (realized if label == "bandit" else 0)
     starts = random_starts(vz, R)
     tracemalloc.start()
     try:
@@ -647,7 +690,7 @@ def test_batch_stores_vhat_only_where_it_depends_on_the_scores(vz, label):
     if label == "mirror_prox":
         assert peak > 2 * dense, (peak, dense)
     else:
-        assert peak < 1.25 * stored, (peak, stored)
+        assert peak < 1.25 * dense, (peak, dense)
         assert "vhat" not in batch[0]._derived
 
 

@@ -171,13 +171,24 @@ def test_csv_records_bandit_actions(tmp_path, bandit_traj):
         assert got.min() >= 0 and got.max() <= 3
 
 
-def test_csv_derives_only_the_gaps(tmp_path, vz):
-    # the CSV reads the regret summands alone, so a bandit run caches them
-    # and no vhat, bias or noise
-    fb = Bandit(exploration=Schedule(0.1, 0.15))
-    fresh = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 80, seed=2)
+def csv_derived(tmp_path, vz, feedback):
+    """The fields that writing the CSV of a fresh 80-step run derives."""
+    fresh = run(vz, LOGIT, feedback, Schedule(0.2, 0.5), 80, seed=2)
+    stored = set(fresh._derived)
     write_trajectory_csv(fresh, tmp_path / "t.csv")
-    assert set(fresh._derived) == {"gaps"}
+    return set(fresh._derived) - stored
+
+
+def test_csv_derives_only_the_gaps(tmp_path, vz):
+    # the CSV reads the regret summands and the realized actions, so a
+    # bandit run caches them, replaying its draws, and no vhat, bias or noise
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    assert csv_derived(tmp_path, vz, fb) == {"gaps", "realized"}
+
+
+def test_csv_of_a_full_run_derives_only_the_gaps(tmp_path, vz):
+    # a run that never samples stores its block of -1 as its realized actions
+    assert csv_derived(tmp_path, vz, Full()) == {"gaps"}
 
 
 def test_csv_text_shape(tmp_path, traj):
