@@ -20,7 +20,7 @@ from .faces import Face, _outside_mass, check_face, minimal_clubs
 from .game import Game, load_game
 from .learning import derive_run_seed, perturbation_stream, run, run_many
 from .regularizers import kernel_from_name
-from .trajectory import Trajectory, write_trajectory_csv
+from .trajectory import Trajectory, _write_csvs, write_trajectory_csv
 
 CONVERGENCE_THRESHOLD = 0.05
 
@@ -155,10 +155,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
 def execute_batch(config: ExperimentConfig, out_dir=None):
     """Run every grid point of a batch config, optionally writing CSVs.
 
-    All starts advance together in one lockstep engine call; the per-run
-    CSV writing, face distances and resilience audit then follow in grid
-    order in the calling thread. Returns (per_run summaries in grid order,
-    aggregate dict).
+    All starts advance together in one lockstep engine call. One writer
+    call then writes every run's CSV, formatting the n, gamma and tau
+    columns the runs share once, and the per-run face distances and
+    resilience audit follow in grid order in the calling thread. Returns
+    (per_run summaries in grid order, aggregate dict).
     """
     game = load_game_spec(config.game)
     kernel = kernel_from_name(config.kernel)
@@ -170,10 +171,11 @@ def execute_batch(config: ExperimentConfig, out_dir=None):
     trajectories = run_many(game, kernel, config.feedback, config.step,
                             config.horizon, starts)
 
+    if target is not None:
+        paths = [target / f"run_{index:03d}.csv" for index in range(len(trajectories))]
+        _write_csvs(trajectories, paths, faces)
     summaries = []
     for index, traj in enumerate(trajectories):
-        if target is not None:
-            write_trajectory_csv(traj, target / f"run_{index:03d}.csv", faces=faces)
         distances = _final_distances(game, traj, faces)
         min_dist = min(distances.values()) if distances else float("inf")
         resilience = check_limit_resilience(traj, game)

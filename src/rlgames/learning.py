@@ -325,7 +325,8 @@ class _Derivation:
     ``_DERIVE_ROWS`` steps, each block evaluating v(x) once and carrying
     its last row into the next as v(x_{n-1}) (x_0 := x_1 at step 1):
 
-    - gaps: the (T, N) regret summands max_a v_i(x)_a - <v_i(x), x_i>;
+    - gaps: the (T, N) regret summands max_a v_i(x)_a - <v_i(x), x_i>,
+      one max and one sum per layout block, over (rows, players, m) views;
     - vhat: from :func:`_gain` unless the step recorded it;
     - noise: vhat less its mean, v(xhat) under bandit feedback and vhat
       otherwise;
@@ -365,8 +366,10 @@ class _Derivation:
             x = traj.x[rows]
             v = _field(game, x)
             if name == "gaps":
-                for i, (g, xi) in enumerate(zip(layout.split(v), layout.split(x))):
-                    out[rows, i] = g.max(axis=1) - (g * xi).sum(axis=1)
+                for players, cols, m in layout.blocks:
+                    g = v[:, cols].reshape(len(x), -1, m)
+                    xb = x[:, cols].reshape(len(x), -1, m)
+                    out[rows, players] = g.max(axis=2) - (g * xb).sum(axis=2)
                 continue
             v_prev = np.concatenate([v[:1] if v_last is None else v_last, v[:-1]])
             v_last = v[-1:]

@@ -24,9 +24,9 @@ doubles exactly.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
+from itertools import groupby
 from operator import methodcaller
 
 import numpy as np
@@ -36,7 +36,8 @@ from .faces import Face, _outside_mass
 from .game import _layout
 
 _FMT = "%.17g"
-_CSV_ROWS = 16  # rows per block: larger blocks leave freed heap resident
+_CSV_ROWS = 16  # rows per %-format: larger blocks leave freed heap resident
+_CSV_CHUNK = 1024  # rows stacked per np.concatenate
 
 
 @dataclass(eq=False)
@@ -132,21 +133,65 @@ def csv_header(traj: Trajectory, n_faces: int = 0) -> list[str]:
 def write_trajectory_csv(traj: Trajectory, path, faces=()) -> None:
     """Write the contracted CSV columns; `faces` adds one distance column each.
 
-    Rows go out in blocks of ``_CSV_ROWS``: each block is stacked into one
-    float table (step indices and actions are exact there) and formatted
-    with a single %-format, ``%d`` for integer columns and ``%.17g`` for
-    floats, which writes exactly what ``"{:.17g}".format`` would.
+    Rows go out in blocks of ``_CSV_ROWS``, each written with a single
+    %-format: ``%d`` for integer columns and ``%.17g`` for floats, which
+    writes exactly what ``"{:.17g}".format`` would. A block's n, gamma and
+    tau enter that format as text formatted for the block alone.
+    """
+    _write_csvs([traj], [path], faces)
+
+
+def _write_csvs(trajectories, paths, faces) -> None:
+    """Write each trajectory's CSV to its path, as `write_trajectory_csv`.
+
+    Consecutive runs with the same action counts whose n, gamma and tau
+    are the same arrays (a batch's runs are) share their lead text: the
+    first run formats each block's ``n,gamma,tau,`` columns into the
+    block's %-format, which the others reuse. A formatted number holds no
+    ``%``, so the text cannot change the bytes. A run that shares with no
+    other keeps no per-step text.
     """
     faces = list(faces)
-    columns = [traj.n[:, None], traj.gamma[:, None], traj.tau[:, None], traj.x,
-               traj.realized, traj.gaps]
-    columns.extend(face_distances(traj, f)[:, None] for f in faces)
-    N = traj.n_players
-    row = ",".join(
-        ["%d"] + [_FMT] * (2 + traj.dim) + ["%d"] * N + [_FMT] * (N + len(faces))
-    ) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(csv_header(traj, len(faces)))
-        for a in range(0, traj.horizon, _CSV_ROWS):
-            block = np.concatenate([c[a:a + _CSV_ROWS] for c in columns], axis=1)
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    pairs = list(zip(trajectories, paths))
+
+    def lead_arrays(pair):
+        t = pair[0]
+        return id(t.n), id(t.gamma), id(t.tau), t.n_actions
+
+    for _, group in groupby(pairs, key=lead_arrays):
+        group = list(group)
+        first = group[0][0]
+        N = first.n_players
+        row = ",".join(
+            [_FMT] * first.dim + ["%d"] * N + [_FMT] * (N + len(faces))
+        ) + "\n"
+        header = ",".join(csv_header(first, len(faces))) + "\n"
+        formats = _block_formats(first, row)
+        if len(group) > 1:
+            formats = list(formats)
+        for traj, path in group:
+            columns = [traj.x, traj.realized, traj.gaps]
+            columns.extend(face_distances(traj, f)[:, None] for f in faces)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(header)
+                for fmt, block in zip(formats, _row_blocks(columns, traj.horizon)):
+                    fh.write(fmt % tuple(block.ravel().tolist()))
+
+
+def _block_formats(traj: Trajectory, row: str):
+    """Yield, block by block, the %-format of a run's rows: each row's n,
+    gamma and tau as text, then `row` for its other columns."""
+    lead = "%d," + _FMT + "," + _FMT + "," + row.replace("%", "%%")
+    columns = [traj.n[:, None], traj.gamma[:, None], traj.tau[:, None]]
+    for block in _row_blocks(columns, traj.horizon):
+        yield (lead * len(block)) % tuple(block.ravel().tolist())
+
+
+def _row_blocks(columns, horizon: int):
+    """Yield the columns side by side as float blocks of ``_CSV_ROWS``
+    rows (step indices and actions are exact there), stacked with one
+    ``np.concatenate`` per ``_CSV_CHUNK`` rows."""
+    for a in range(0, horizon, _CSV_CHUNK):
+        table = np.concatenate([c[a:a + _CSV_CHUNK] for c in columns], axis=1)
+        for b in range(0, len(table), _CSV_ROWS):
+            yield table[b:b + _CSV_ROWS]

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rlgames import (
     InputError,
     Schedule,
     builtin_game,
+    config_from_dict,
     distance_to_face,
     face_distances,
     face_from_lists,
@@ -19,10 +21,13 @@ from rlgames import (
     random_game,
     regret,
     run,
+    run_batch,
     singleton_face,
     write_trajectory_csv,
 )
-from rlgames.trajectory import csv_header
+from rlgames import trajectory
+from rlgames.experiments import _perturbed_starts, load_game_spec, resolve_faces
+from rlgames.trajectory import _write_csvs, csv_header
 
 LOGIT = kernel_from_name("logit")
 
@@ -227,3 +232,64 @@ def test_csv_bytes_match_a_csv_writer_reference(tmp_path, vz):
                 + [fmt(d[k]) for d in dists]
             )
     assert path.read_bytes() == ref.read_bytes()
+
+
+def test_batch_csvs_match_the_single_runs(tmp_path):
+    # T = 1100 is no multiple of the 16-row block and spans two stacking
+    # chunks; the batch formats its shared n, gamma and tau once, and each
+    # file must still be the bytes of the run alone
+    cfg = config_from_dict({
+        "game": "parity", "kernel": "logit", "feedback": "bandit",
+        "exploration": {"base": 0.1, "exponent": 0.15},
+        "step": {"base": 0.2, "exponent": 0.5}, "horizon": 1100, "seed": 31,
+        "init": {"kind": "grid", "values": [-1.0, 1.0], "dims": 2},
+        "faces": "auto:minimal_clubs",
+    })
+    run_batch(cfg, tmp_path / "batch")
+    game = load_game_spec(cfg.game)
+    faces = resolve_faces(game, cfg.faces)
+    starts = _perturbed_starts(cfg, game)
+    assert len(starts) == 4
+    for index, (seed, y0) in enumerate(starts):
+        alone = run(game, kernel_from_name(cfg.kernel), cfg.feedback, cfg.step,
+                    cfg.horizon, y0=y0, seed=seed)
+        path = tmp_path / f"alone_{index}.csv"
+        write_trajectory_csv(alone, path, faces=faces)
+        assert (tmp_path / "batch" / f"run_{index:03d}.csv").read_bytes() == path.read_bytes()
+
+
+def test_batch_writer_reuses_lead_text_only_for_the_same_arrays(tmp_path, monkeypatch, vz):
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    a = run(vz, LOGIT, fb, Schedule(0.2, 0.5), 50, seed=5)
+    # same n and tau as `a`, another gamma; then same n and gamma, another tau
+    b = dataclasses.replace(a, gamma=a.gamma * 0.5)
+    c = dataclasses.replace(a, tau=a.tau + 1.0)
+    trajs = [a, dataclasses.replace(a), b, dataclasses.replace(b), c]
+    faces = minimal_clubs(vz)
+    for k, t in enumerate(trajs):
+        write_trajectory_csv(t, tmp_path / f"alone_{k}.csv", faces=faces)
+    calls = []
+    block_formats = trajectory._block_formats
+    monkeypatch.setattr(trajectory, "_block_formats",
+                        lambda t, row: calls.append(t) or block_formats(t, row))
+    _write_csvs(trajs, [tmp_path / f"batch_{k}.csv" for k in range(5)], faces)
+    assert calls == [a, b, c]  # once per run of consecutive sharers
+    for k in range(5):
+        assert (tmp_path / f"batch_{k}.csv").read_bytes() == \
+            (tmp_path / f"alone_{k}.csv").read_bytes()
+
+
+def test_writing_one_long_run_keeps_no_per_step_text(tmp_path, vz):
+    # the n, gamma and tau text alone is about 40% of the file; a single
+    # run formats it block by block and holds only one stacking chunk
+    traj = run(vz, LOGIT, Full(), Schedule(0.2, 0.5), 20_000, seed=3)
+    traj.gaps
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 10, (peak, size)
