@@ -172,8 +172,10 @@ class RateFit:
     """Fitted decay law of the distance-to-face series.
 
     model is 'finite_hit' (non-steep kernels: exact arrival step),
-    'geometric' (log dist linear in tau), or 'inverse_square'
-    (log dist linear in log(shift + tau) with slope near -2).
+    'geometric' (logit: log dist linear in tau), or 'inverse_square'
+    (steep power kernels: log dist linear in log(shift + tau), with slope
+    near 1/(rho - 1); the name is tsallis's slope, -2, and labels every
+    rho < 1).
     """
 
     model: str
@@ -195,10 +197,12 @@ def fit_rate(
 ) -> RateFit:
     """Fit the decay law the kernel predicts for club convergence.
 
-    A non-steep kernel (``kernel.steep`` false: euclidean and power with
-    rho > 1) reaches the face in finite time, so its fit is the first
-    step with dist <= atol. Steep kernels are regressed: logit as
-    geometric, power with rho < 1 as inverse-square. The regression
+    A non-steep kernel (``kernel.steep`` false: rho > 1, euclidean
+    included) reaches the face in finite time, so its fit is the first
+    step with dist <= atol. Steep kernels are regressed: logit (rho = 1)
+    as geometric, power with rho < 1 as a power law in shift + tau. Its
+    rate law phi(c - margin * tau), with phi = (theta')^-1, has log-log
+    slope 1/(rho - 1): -2 at tsallis, -2.5 at power:0.6. The regression
     window keeps steps with atol < dist < `window`: the upper cutoff
     drops the transient, the lower one drops the numerical floor.
     Regressions need at least 20 points inside the window, and fit the
@@ -234,7 +238,7 @@ def fit_rate(
     t = tau[idx]
     first, last = int(trajectory.n[idx[0]]), int(trajectory.n[idx[-1]])
 
-    if kernel.variant == "entropic":
+    if kernel.rho == 1.0:
         slope, intercept, r2 = _line_fit(t, logd)
         return RateFit(
             model="geometric",

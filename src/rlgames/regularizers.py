@@ -2,23 +2,27 @@
 
 A kernel is a convex scalar function theta on [0, 1]; the regularizer is
 h(x) = sum_a theta(x_a) and the choice map picks argmax <y, x> - h(x) over
-the simplex. Three families are supported:
+the simplex. Every kernel is one member of the family
 
-* quadratic  theta(z) = z^2 / 2       (exact sparse Euclidean projection)
-* entropic   theta(z) = z log z       (closed-form logit map)
-* power      theta(z) = z^rho / (rho (rho - 1)),  rho in (0,1) or (1,2]
-             (plain Newton steps on the dual variable of y - max y,
-              rising from the point where the largest coordinate alone
-              reaches 1)
+    theta_rho(z) = z^rho / (rho (rho - 1)),   rho in (0, 2],
+
+and a kernel is its exponent. rho = 1 is the entropic limit z log z,
+mapped in closed form by the logit map; rho = 2 is the quadratic kernel
+z^2 / 2, mapped by the exact sparse Euclidean projection; every other rho
+is mapped by plain Newton steps on the dual variable of y - max y,
+rising from the point where the largest coordinate alone reaches 1.
+theta'' = z^(rho - 2) >= 1 on (0, 1], so every kernel is 1-strongly
+convex there.
 
 All maps accept a single score vector or a 2-D batch of rows. Steep
-kernels (theta'(0+) = -inf) keep every coordinate strictly positive;
-non-steep ones return exact zeros.
+kernels (rho <= 1, theta'(0+) = -inf) keep every coordinate strictly
+positive; non-steep ones return exact zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -31,72 +35,55 @@ _FAIL_TOL = 1e-8  # a residual above this after _NEWTON_ITERS raises NumericErro
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel descriptor. Build with :func:`kernel_from_name`."""
+    """The kernel theta_rho, named. rho = 1 is entropic, rho = 2 quadratic.
+    Build with :func:`kernel_from_name`."""
 
     name: str
-    variant: str  # 'quadratic' | 'entropic' | 'power'
-    rho: float | None = None
+    rho: float
 
     def __post_init__(self):
-        if self.variant not in ("quadratic", "entropic", "power"):
-            raise InputError(f"unknown kernel variant '{self.variant}'")
-        if self.variant == "power":
-            r = self.rho
-            if r is None or not (0.0 < r < 1.0 or 1.0 < r <= 2.0):
-                raise InputError(
-                    "power kernel exponent must lie in (0,1) or (1,2]; "
-                    "use the entropic kernel for the log case"
-                )
+        if not (isinstance(self.rho, Real) and 0.0 < self.rho <= 2.0):
+            raise InputError(
+                f"kernel exponent rho must lie in (0, 2], got {self.rho!r}"
+            )
 
     # --- scalar calculus -------------------------------------------------
 
     def theta(self, z):
         z = np.asarray(z, dtype=float)
-        if self.variant == "quadratic":
-            return 0.5 * z * z
-        if self.variant == "entropic":
-            out = np.where(z > 0, z * np.log(np.where(z > 0, z, 1.0)), 0.0)
-            return out
         r = self.rho
+        if r == 1.0:
+            return np.where(z > 0, z * np.log(np.where(z > 0, z, 1.0)), 0.0)
+        if r == 2.0:
+            # z ** 2 / 2 would round twice where z^2 is subnormal
+            return 0.5 * z * z
         return np.power(z, r) / (r * (r - 1.0))
 
     def theta_prime(self, z):
         z = np.asarray(z, dtype=float)
-        if self.variant == "quadratic":
-            return z
-        if self.variant == "entropic":
-            return 1.0 + np.log(z)
         r = self.rho
+        if r == 1.0:
+            return 1.0 + np.log(z)
         return np.power(z, r - 1.0) / (r - 1.0)
 
     def theta_prime_inv(self, w):
         """Inverse of theta' on (0, 1]; caller clips outside the range."""
         w = np.asarray(w, dtype=float)
-        if self.variant == "quadratic":
-            return w
-        if self.variant == "entropic":
-            return np.exp(w - 1.0)
         r = self.rho
+        if r == 1.0:
+            return np.exp(w - 1.0)
         return np.power((r - 1.0) * w, 1.0 / (r - 1.0))
 
     @property
     def steep(self) -> bool:
         """theta'(0+) = -inf, so the choice map stays interior."""
-        if self.variant == "entropic":
-            return True
-        return self.variant == "power" and self.rho < 1.0
+        return self.rho <= 1.0
 
     def theta_prime_at_zero(self) -> float:
-        if self.steep:
-            return -np.inf
-        return 0.0  # quadratic and power rho>1 both have theta'(0+) = 0
+        return -np.inf if self.steep else 0.0
 
     def theta_prime_at_one(self) -> float:
-        if self.variant == "quadratic":
-            return 1.0
-        if self.variant == "entropic":
-            return 1.0
-        return 1.0 / (self.rho - 1.0)
+        return 1.0 if self.rho == 1.0 else 1.0 / (self.rho - 1.0)
 
     def entropy(self, p):
         """h(p) = sum_a theta(p_a), rows of a batch handled at once."""
@@ -104,28 +91,27 @@ class Kernel:
         return self.theta(p).sum(axis=-1)
 
 
+_NAMED_RHO = {"euclidean": 2.0, "logit": 1.0, "tsallis": 0.5}
+
+
 def kernel_from_name(name: str) -> Kernel:
-    """Parse 'euclidean' | 'logit' | 'tsallis' | 'power:<rho>'."""
+    """Parse 'euclidean' (rho = 2) | 'logit' (rho = 1) | 'tsallis'
+    (rho = 1/2) | 'power:<rho>', rho in (0, 1) or (1, 2]."""
     if not isinstance(name, str):
         raise InputError("kernel name must be a string")
-    if name == "euclidean":
-        return Kernel(name=name, variant="quadratic")
-    if name == "logit":
-        return Kernel(name=name, variant="entropic")
-    if name == "tsallis":
-        return Kernel(name=name, variant="power", rho=0.5)
-    if name.startswith("power:"):
-        try:
-            rho = float(name.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"could not parse power kernel exponent in '{name}'") from None
-        if rho == 2.0:
-            # identical kernel; reuse the exact projection path
-            return Kernel(name=name, variant="quadratic")
-        return Kernel(name=name, variant="power", rho=rho)
-    raise InputError(
-        f"unknown kernel '{name}' (expected euclidean, logit, tsallis, or power:<rho>)"
-    )
+    if name in _NAMED_RHO:
+        return Kernel(name, _NAMED_RHO[name])
+    if not name.startswith("power:"):
+        raise InputError(
+            f"unknown kernel '{name}' (expected euclidean, logit, tsallis, or power:<rho>)"
+        )
+    try:
+        rho = float(name.split(":", 1)[1])
+    except ValueError:
+        raise InputError(f"could not parse power kernel exponent in '{name}'") from None
+    if rho == 1.0:
+        raise InputError("power kernel exponent 1 is the entropic kernel; name it 'logit'")
+    return Kernel(name, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +142,9 @@ def choice_map(kernel: Kernel, y) -> np.ndarray:
 
 def _choice_unchecked(kernel: Kernel, batch):
     """The choice map of a 2-D batch of finite score rows."""
-    if kernel.variant == "quadratic":
+    if kernel.rho == 2.0:
         return _project_simplex(batch)
-    if kernel.variant == "entropic":
+    if kernel.rho == 1.0:
         # the row max as m - 1 elementwise maxima over a transposed copy,
         # not one short reduction per row; a max does no rounding. The
         # sum stays a reduction of contiguous rows, whose order sets its bits
@@ -182,19 +168,21 @@ def _project_simplex(batch):
 
 
 def _power_choice(kernel: Kernel, batch):
-    """Solve f(mu) = sum_a g(y_a - mu) = 1 for the dual variable mu, rowwise.
+    """The choice map of theta_rho for rho in (0, 1) or (1, 2): solve
+    f(mu) = sum_a g(y_a - mu) = 1 for the dual variable mu, rowwise.
 
     g is theta_prime_inv clipped to the kernel's domain, so each term is
     convex and nonincreasing in mu: a negative power of a positive linear
     function when rho < 1, the positive part of a linear function raised
-    to 1/(rho - 1) >= 1 when rho > 1. The map is shift-invariant, so each
-    row is solved as y - max y: mu then stays near -theta'(1) whatever
-    the scores' level, where doubles are fine enough to close the
-    residual. Newton starts at the root's lower bound lo = -theta'(1),
-    where the largest coordinate alone reaches 1, so f(lo) >= 1. Below
-    the root, the tangent of a convex decreasing f lies under f and meets
-    1 no further right than the root, so the iterates rise monotonically
-    to it and f' < 0 on every one of them. A row is frozen once its own
+    to 1/(rho - 1) > 1 when rho > 1. The entropic limit rho = 1 and the
+    quadratic end rho = 2 have exact maps and never come here. The map is
+    shift-invariant, so each row is solved as y - max y: mu then stays
+    near -theta'(1) whatever the scores' level, where doubles are fine
+    enough to close the residual. Newton starts at the root's lower bound
+    lo = -theta'(1), where the largest coordinate alone reaches 1, so
+    f(lo) >= 1. Below the root, the tangent of a convex decreasing f lies
+    under f and meets 1 no further right than the root, so the iterates
+    rise monotonically to it and f' < 0 on every one of them. A row is frozen once its own
     residual closes, so it maps to the same bits whatever other rows
     share the batch. Every evaluation writes the terms of f and of -f'
     into one buffer and sums both in one reduction into the fixed views
@@ -241,10 +229,8 @@ def _power_choice(kernel: Kernel, batch):
         else:
             np.multiply(np.maximum(w, 0.0, out=x), scale, out=x)
             np.power(x, inv_exp, out=x)
-            inactive = w <= 0
-            np.putmask(x, inactive, 0.0)
+            np.putmask(x, w <= 0, 0.0)
             np.power(x, 2.0 - rho, out=dx)
-            np.putmask(dx, inactive, 0.0)  # 0 ** 0 = 1 at rho = 2 is no slope
         np.add.reduce(buf, axis=2, out=sums)
 
     eval_at()
@@ -283,7 +269,7 @@ def _choice_blocks(kernel: Kernel, flat, blocks) -> np.ndarray:
 def conjugate(kernel: Kernel, y):
     """h*(y) = <y, Q(y)> - h(Q(y)), per row."""
     arr, batch = _check_scores(y)
-    q = choice_map(kernel, batch)
+    q = _choice_unchecked(kernel, batch)
     val = (batch * q).sum(axis=1) - kernel.entropy(q)
     return float(val[0]) if arr.ndim == 1 else val
 

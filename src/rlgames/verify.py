@@ -161,17 +161,17 @@ def _check_singleton_club_equivalence(ctx):
     )
 
 
-_NORM_PAIRS = {
-    # primal/dual norm orders for the coupling inequalities
-    "euclidean": (2, 2),
-    "logit": (1, np.inf),
-    "tsallis": (2, 2),
-}
+# The kernels c04 checks: the named three and power kernels on both sides
+# of rho = 1.
+_MIRROR_KERNELS = (
+    "euclidean", "logit", "tsallis", "power:0.3", "power:0.8", "power:1.5", "power:1.9",
+)
 
 # Strong convexity modulus K of h = sum_a theta(x_a), in the primal norm of
-# each kernel's pair above. Euclidean: theta'' = 1, so K = 1 in L2. Logit:
-# h is the negative entropy, 1-strongly convex in L1 on the simplex
-# (Pinsker). Tsallis: theta'' = z^(-3/2) >= 1 on (0, 1], so K = 1 in L2.
+# the coupling inequalities. Logit (rho = 1): h is the negative entropy,
+# 1-strongly convex in L1 on the simplex (Pinsker), with L-inf as the dual
+# norm. Every other rho <= 2: theta'' = z^(rho - 2) >= 1 on (0, 1], so
+# K = 1 in L2, its own dual.
 _STRONG_CONVEXITY = 1.0
 
 
@@ -179,10 +179,10 @@ def _check_mirror_maps(ctx):
     rng = np.random.default_rng(704)
     worst = {"feas": 0.0, "shift": 0.0, "grad": 0.0, "lower": 0.0, "upper": 0.0}
     eps = 1e-6
-    for name in ("euclidean", "logit", "tsallis"):
+    for name in _MIRROR_KERNELS:
         k = kernel_from_name(name)
         K = _STRONG_CONVEXITY
-        prim, dual = _NORM_PAIRS[name]
+        prim, dual = (1, np.inf) if k.rho == 1.0 else (2, 2)
         for m in (2, 3, 4, 5):
             B = 2500
             y = rng.normal(0.0, 3.0, (B, m))

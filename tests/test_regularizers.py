@@ -36,13 +36,12 @@ score_vectors = st.lists(
 
 
 def test_kernel_names_resolve_to_families():
-    assert kernel_from_name("euclidean").variant == "quadratic"
-    assert kernel_from_name("logit").variant == "entropic"
-    ts = kernel_from_name("tsallis")
-    assert (ts.variant, ts.rho) == ("power", 0.5)
+    assert kernel_from_name("euclidean").rho == 2.0
+    assert kernel_from_name("logit").rho == 1.0
+    assert kernel_from_name("tsallis").rho == 0.5
     assert kernel_from_name("power:1.5").rho == 1.5
     # the power family at exponent 2 is the quadratic kernel
-    assert kernel_from_name("power:2").variant == "quadratic"
+    assert kernel_from_name("power:2").rho == 2.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -58,11 +57,15 @@ def test_kernel_name_must_be_string():
         kernel_from_name(3)
 
 
-def test_kernel_variant_guard():
+@pytest.mark.parametrize("rho", [0.0, -0.5, 2.5, math.inf, math.nan, None])
+def test_kernel_exponent_guard(rho):
     with pytest.raises(InputError):
-        Kernel(name="x", variant="cubic")
-    with pytest.raises(InputError):
-        Kernel(name="x", variant="power", rho=None)
+        Kernel("x", rho)
+
+
+@pytest.mark.parametrize("rho", [0.05, 1.0, 2.0])
+def test_kernel_exponent_bounds_are_kernels(rho):
+    assert Kernel("x", rho).rho == rho
 
 
 def test_theta_prime_endpoints():
@@ -75,6 +78,45 @@ def test_theta_prime_endpoints():
     euc = kernel_from_name("euclidean")
     assert euc.theta_prime_at_zero() == 0.0
     assert euc.theta_prime_at_one() == 1.0
+
+
+# masses from 0 through subnormals and masses whose square is subnormal, to 1
+Z_GRID = np.concatenate([
+    [0.0, 5e-324, 1e-310, 1e-100, 1.0 / 3.0, 1.0],
+    np.geomspace(1e-162, 1e-153, 64),
+    np.random.default_rng(5).uniform(0.0, 1.0, 64),
+])
+# scores on both sides of theta'(0) and theta'(1)
+W_GRID = np.concatenate([
+    [-700.0, -3.0, -1e-300, 0.0, 5e-324, 1.0 / 3.0, 1.0, 1.5, 40.0],
+    np.random.default_rng(6).uniform(-4.0, 4.0, 64),
+])
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_euclidean_kernel_is_the_quadratic_closed_form():
+    k = kernel_from_name("euclidean")
+    z, w = Z_GRID, W_GRID
+    assert _same_bits(k.theta(z), 0.5 * z * z)
+    assert _same_bits(k.theta_prime(z), z)
+    assert _same_bits(k.theta_prime_inv(w), w)
+    assert (k.theta_prime_at_zero(), k.theta_prime_at_one()) == (0.0, 1.0)
+    assert _same_bits(rate_function(k, w), np.where(w <= 0.0, 0.0, np.minimum(w, 1.0)))
+
+
+def test_logit_kernel_is_the_entropic_closed_form():
+    k = kernel_from_name("logit")
+    z, w = Z_GRID, W_GRID
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        assert _same_bits(k.theta(z), np.where(z > 0, z * np.log(z), 0.0))
+        assert _same_bits(k.theta_prime(z), 1.0 + np.log(z))
+        assert _same_bits(k.theta_prime_inv(w), np.exp(w - 1.0))
+        assert _same_bits(rate_function(k, w), np.where(w >= 1.0, 1.0, np.exp(w - 1.0)))
+    assert (k.theta_prime_at_zero(), k.theta_prime_at_one()) == (-np.inf, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +332,7 @@ def test_power_newton_closes_every_row_on_a_stress_grid(rho, monkeypatch):
     # base would raise too: Newton from lo keeps ds > 0 on every iterate.
     monkeypatch.setattr(regularizers, "_FAIL_TOL", 1e-13)
     k = kernel_from_name("tsallis" if rho == 0.5 else f"power:{rho}")
-    assert (k.variant, k.rho) == ("power", rho)
+    assert k.rho == rho
     rng = np.random.default_rng(int(rho * 100))
     for m in (2, 4, 7, 16):
         for kind, batch in stress_batches(rng, m).items():
@@ -371,12 +413,8 @@ def test_power_map_matches_a_reference_newton_loop(name):
             assert choice_map(k, batch).tobytes() == _power_choice_reference(k, batch)[0].tobytes()
 
 
-# power:2 names the quadratic kernel, so its power form is built directly
 ORACLE_KERNELS = {
-    "tsallis": kernel_from_name("tsallis"),
-    "power:0.3": kernel_from_name("power:0.3"),
-    "power:1.5": kernel_from_name("power:1.5"),
-    "power:2": Kernel(name="power:2", variant="power", rho=2.0),
+    name: kernel_from_name(name) for name in ("tsallis", "power:0.3", "power:1.5", "power:1.9")
 }
 
 
@@ -395,20 +433,6 @@ def test_power_map_is_the_reference_newton_loop_byte_for_byte(name, rows):
         assert choice_map(k, batch).tobytes() == want.tobytes(), m
         if rows >= 3:
             assert len(set(steps)) > 1, m
-
-
-@pytest.mark.parametrize("m", [7, 16, 50])
-def test_rho_two_power_map_is_the_projection_within_a_few_newton_steps(m):
-    # inactive coordinates add nothing to the slope -f', also where their
-    # term is 0 ** 0 at rho = 2, so Newton meets the projection's threshold
-    # in a few steps; counting them once ran width 50 into the step cap
-    k = ORACLE_KERNELS["power:2"]
-    batch = np.random.default_rng(m).normal(0.0, 1.0, (200, m))
-    want, steps = _power_choice_reference(k, batch)
-    assert steps.max() <= 10
-    got = choice_map(k, batch)
-    assert got.tobytes() == want.tobytes()
-    assert np.abs(got - regularizers._project_simplex(batch)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["tsallis", "power:0.3", "power:1.5"])
