@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -108,9 +108,31 @@ def _is_count(n) -> bool:
 
 
 def check_player(game: Game, player: int) -> None:
-    """Reject a player index outside 0..N-1 (numpy would wrap a negative one)."""
+    """Reject a player index that is not an integer in 0..N-1 (numpy would
+    wrap a negative one, and a bool would pass as 0 or 1)."""
+    if isinstance(player, bool) or not isinstance(player, Integral):
+        raise InputError(f"player index {player!r} is not an integer")
     if not 0 <= player < game.n_players:
         raise InputError(f"player index {player} out of range")
+
+
+def _index(value) -> int:
+    """`value` as an action index: an integer, or a float with no fractional
+    part. int() would read True as 1, "1" as 1 and 0.7 as 0, so a bool, a
+    string or a number with a fractional part raises InputError."""
+    if isinstance(value, Real) and not isinstance(value, bool) and (
+            isinstance(value, Integral) or float(value).is_integer()):
+        return int(value)
+    raise InputError(f"action {value!r} is not an integer")
+
+
+def _indices(values) -> np.ndarray:
+    """:func:`_index` over an array of any shape, as int64; integer arrays
+    pass as they are."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64)
+    obj = np.asarray(values, dtype=object)
+    return np.array([_index(v) for v in obj.flat], dtype=np.int64).reshape(obj.shape)
 
 
 def check_strategy(game: Game, player: int, x, rows: bool = False) -> np.ndarray:
@@ -212,7 +234,7 @@ def check_distribution(game: Game, dist) -> np.ndarray:
 
 def pure_profile(game: Game, actions) -> list[np.ndarray]:
     """The point-mass mixed profile at a pure action profile."""
-    actions = tuple(int(a) for a in actions)
+    actions = tuple(_index(a) for a in actions)
     _check_pure(game, actions)
     out = []
     for i, a in enumerate(actions):
@@ -238,7 +260,7 @@ def _check_pure(game: Game, actions: tuple[int, ...]):
 
 def payoff_pure(game: Game, player: int, actions) -> float:
     """Payoff to `player` at a pure action profile."""
-    actions = tuple(int(a) for a in actions)
+    actions = tuple(_index(a) for a in actions)
     _check_pure(game, actions)
     check_player(game, player)
     return float(game.payoffs[player][actions])

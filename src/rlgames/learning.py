@@ -15,11 +15,13 @@ step before under optimistic feedback; the current play x_n = Q(y_n)
 goes straight into the record. Each player's (R, m_i) columns are a view
 into those rows; consecutive players with equal action counts form a
 block, viewed as (R, n_b, m_b), and each step makes one numpy call per
-block and operation. Under bandit feedback the step holds each block's
-explored play action-major, as (m_b, R, n_b), so the running sums and the
-draw reduce over the short action axis one (R, n_b) slab at a time, and
-the estimate, N entries per row, is added into those N scores alone.
-The payoff operator v(x) works per block too: the game stacks each
+block and operation. Under bandit feedback the step explores the play
+into one (R, D) buffer laid out like the scores. Each block draws from
+an action-major (m_b, R, n_b) view of its columns, so the running sums
+and the draw reduce over the short action axis one (R, n_b) slab at a
+time. The estimate, N entries per row, is added into the N scores at the
+realized actions' flat positions alone, and one gather of the explored
+buffer at those positions reads their probabilities. The payoff operator v(x) works per block too: the game stacks each
 block's payoff tensors once, and one multiply-add per (opponent, action)
 gives the whole block's payoff vectors. Every operation treats a row the
 same whatever other rows share the batch, so run r of a batch is bit for
@@ -57,7 +59,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InputError, NumericError, ResourceLimitError
-from .game import Game, _check_simplex, _flat, _is_count, _layout, check_profile
+from .game import Game, _check_simplex, _flat, _indices, _is_count, _layout, check_profile
 from .game import _payoff_vectors_unchecked as _field
 from .regularizers import Kernel, _choice_blocks
 from .trajectory import Trajectory
@@ -175,13 +177,16 @@ def perturbation_stream(seed: int) -> np.random.Generator:
 # bandit building blocks
 #
 # The public blocks take one profile, or R profiles at once as per-player
-# (R, m_i) rows, and validate what they are given. Sampling acts on one
-# layout block (game._layout) of consecutive equal-size players at a
-# time, held action-major as (m, R, n_b): action a of every run and block
-# player is one (R, n_b) slab, so the running sums and the draw reduce
-# over the short action axis slab by slab, not one short row at a time.
-# The estimate is N entries per row, which the lockstep engine below adds
-# straight into the scores.
+# (R, m_i) rows, and validate what they are given. The explored play is
+# flat (R, D) rows, laid out like the scores. Sampling acts on one layout
+# block (game._layout) of consecutive equal-size players at a time,
+# through an action-major (m, R, n_b) view of the block's columns: action
+# a of every run and block player is one (R, n_b) slab, so the running
+# sums and the draw reduce over the short action axis slab by slab, not
+# one short row at a time. The estimate is N entries per row, and one
+# gather of the explored rows at the realized actions' flat positions
+# reads their probabilities; the lockstep engine below adds the entries
+# straight into the scores at those positions.
 
 
 def _explored_unchecked(x, delta, m, out=None) -> np.ndarray:
@@ -216,8 +221,9 @@ def sample_actions(explored, uniforms):
 
 def _sample_actions_unchecked(xb, uniforms, out, c=None) -> np.ndarray:
     """Draw one block's actions into (R, n_b) `out` from its explored play
-    as action-major (m, R, n_b) rows and its (R, n_b) uniforms; `c`, of
-    the shape of `xb`, may take the running sums."""
+    as action-major (m, R, n_b) rows and its (R, n_b) uniforms. `xb` may be
+    a strided view of flat (R, D) rows; `c`, of its shape, may take the
+    running sums, which the reductions then read contiguously."""
     c = np.add.accumulate(xb, axis=0, out=c)
     # the running sums never decrease and u < 1, so counting the a < m - 1
     # with c_a <= u * c_{m-1} is searchsorted(c, u * c_{m-1}, side="right")
@@ -234,7 +240,7 @@ def iwe(game: Game, explored, realized):
     """
     rows = np.ndim(explored[0]) == 2
     x, layout = _flat(np.atleast_2d(x) for x in check_profile(game, explored, rows))
-    acts = np.atleast_2d(np.asarray(realized)).astype(np.int64)
+    acts = np.atleast_2d(_indices(realized))
     if acts.shape != (len(x), game.n_players):
         raise InputError("one realized action per player is required")
     bad = (acts < 0) | (acts >= game.n_actions)
@@ -251,23 +257,26 @@ def iwe(game: Game, explored, realized):
     return out if rows else [v[0] for v in out]
 
 
-def _iwe_entries(game: Game, base, prob, acts):
-    """The estimate's N nonzero entries per row of realized actions `acts`
-    (R, N), as (flat positions, values): player i's u_i(acts) / prob_i at
-    base_i + acts_i, `prob` holding each realized action's explored
-    probability. One gather reads every player's payoff at each row's
-    realized profile."""
+def _iwe_entries(game: Game, xhat, flat, acts):
+    """The values of the estimate's N nonzero entries per row of realized
+    actions `acts` (R, N): player i's u_i(acts) / xhat[flat_i], where
+    `flat` (R, N) holds each realized action's flat position in the
+    contiguous (R, D) explored rows `xhat`, and so in scores laid out like
+    them. One gather at `flat` reads every realized action's explored
+    probability, and one every player's payoff at each row's realized
+    profile."""
     table, strides = game._payoff_table, _layout(game.n_actions).strides
-    return base + acts, table.take(acts @ strides, axis=0) / prob
+    return table.take(acts @ strides, axis=0) / xhat.take(flat)
 
 
 def _iwe_unchecked(game: Game, xhat, acts) -> np.ndarray:
     """The estimate on contiguous flat (R, D) explored rows, as the entries
     of :func:`_iwe_entries` written into zeros. Every realized action
     must have positive probability."""
-    base = np.arange(0, xhat.size, xhat.shape[1])[:, None] + _layout(game.n_actions).offsets
+    offsets = _layout(game.n_actions).offsets
+    flat = np.arange(0, xhat.size, xhat.shape[1])[:, None] + offsets + acts
     out = np.zeros(xhat.shape)
-    out.put(*_iwe_entries(game, base, xhat.take(base + acts), acts))
+    out.put(flat, _iwe_entries(game, xhat, flat, acts))
     return out
 
 
@@ -322,8 +331,10 @@ class _Derivation:
     and count, and a running sum adds in the same order whatever the
     layout, so the actions are the ones the step drew. The other fields
     take one pass over the recorded rows, in blocks of at most
-    ``_DERIVE_ROWS`` steps, each block evaluating v(x) once and carrying
-    its last row into the next as v(x_{n-1}) (x_0 := x_1 at step 1):
+    ``_DERIVE_ROWS`` steps. A block evaluates v(x) once where the field
+    reads it (gaps, bias, and the vhat and noise of full and optimistic
+    runs), and under optimistic feedback carries its last row into the
+    next as v(x_{n-1}) (x_0 := x_1 at step 1):
 
     - gaps: the (T, N) regret summands max_a v_i(x)_a - <v_i(x), x_i>,
       one max and one sum per layout block, over (rows, players, m) views;
@@ -357,22 +368,26 @@ class _Derivation:
                     xb = xhat[:, cols].reshape(len(xhat), -1, m).transpose(2, 0, 1)
                     _sample_actions_unchecked(xb, u[rows, players], out[rows, players])
             return out
-        bandit = isinstance(feedback, Bandit)
+        bandit, optimistic = isinstance(feedback, Bandit), isinstance(feedback, Optimistic)
         recorded = traj.vhat if isinstance(feedback, _RECORDED) else None
+        # v(x) where the field reads it: a bandit or recorded vhat, and so
+        # its noise, never does
+        with_v = name in ("gaps", "bias") or not (bandit or recorded is not None)
         out = np.empty((traj.horizon, traj.n_players) if name == "gaps" else traj.x.shape)
-        v_last = None
+        v_prev = v_last = None
         for a in range(0, traj.horizon, _DERIVE_ROWS):
             rows = slice(a, a + _DERIVE_ROWS)
             x = traj.x[rows]
-            v = _field(game, x)
+            v = _field(game, x) if with_v else None
             if name == "gaps":
                 for players, cols, m in layout.blocks:
                     g = v[:, cols].reshape(len(x), -1, m)
                     xb = x[:, cols].reshape(len(x), -1, m)
                     out[rows, players] = g.max(axis=2) - (g * xb).sum(axis=2)
                 continue
-            v_prev = np.concatenate([v[:1] if v_last is None else v_last, v[:-1]])
-            v_last = v[-1:]
+            if optimistic:
+                v_prev = np.concatenate([v[:1] if v_last is None else v_last, v[:-1]])
+                v_last = v[-1:]
             # the explored profile, as the step drew from it
             xhat = (_explored_unchecked(x, self.deltas[rows, None], layout.m_col)
                     if bandit else None)
@@ -380,7 +395,7 @@ class _Derivation:
                 feedback, game, v, v_prev, xhat, traj.realized[rows])
             if name == "vhat":
                 out[rows] = vhat
-            elif name == "bias" and isinstance(feedback, Optimistic):
+            elif name == "bias" and optimistic:
                 out[rows] = v - v_prev
             else:
                 mean = _field(game, xhat) if bandit else vhat
@@ -440,12 +455,15 @@ def run_many(
     Each step computes only what the next scores depend on. It stores x,
     and vhat under mirror-prox and clairvoyant feedback. Full and
     optimistic steps take vhat from :func:`_gain`. Bandit runs never
-    evaluate v(x): a step explores each block's play into action-major
-    (m, R, n_b) buffers, draws from them into one (R, N) row of realized
-    actions, all allocated once per call, and adds the N entries of
-    :func:`_iwe_entries` per row into the scores, and the runs draw
-    ``_DERIVE_ROWS`` steps of each (seed, player) stream at a time. Each
-    trajectory derives its scores, a bandit run's realized actions, the
+    evaluate v(x). A step explores the play into one (R, D) buffer laid
+    out like the scores and draws each block's actions, into one (R, N)
+    row, from an action-major (m, R, n_b) view of its columns, summing
+    into a contiguous (m, R, n_b) buffer; buffers and views are built once
+    per call. The realized actions' flat positions index the scores and
+    the explored buffer alike, so one gather reads their probabilities,
+    and the step adds the N values of :func:`_iwe_entries` per row into
+    those scores. The runs draw ``_DERIVE_ROWS`` steps of each
+    (seed, player) stream at a time. Each trajectory derives its scores, a bandit run's realized actions, the
     vhat it did not store, bias, noise and regret summands from those
     rows on first read, one field per call of :class:`_Derivation`. The
     runs of a batch share one read-only array each for n, gamma and tau,
@@ -489,14 +507,14 @@ def run_many(
         streams = [[player_stream(s, i) for i in range(N)] for s in seeds]
         base = np.arange(0, R * D, D)[:, None] + layout.offsets  # each player's action 0
         acts = np.empty((R, N), dtype=np.int64)  # the step's realized actions
-        prob = np.empty((R, N))  # the explored probability of each realized action
-        # per block: action-major (m, R, n_b) buffers for the explored play
-        # and its running sums, and the place of each (run, player) in a slab
-        blocks = []
-        for players, cols, m in layout.blocks:
-            n = players.stop - players.start
-            blocks.append((players, cols, m, np.empty((2, m, R, n)),
-                           np.arange(R * n).reshape(R, n)))
+        # the explored play, laid out like the scores, mixed with one block's
+        # scalar m or each column's own; per block, the action-major
+        # (m, R, n_b) view of its columns and contiguous running sums
+        xh = np.empty((R, D))
+        m_x = layout.blocks[0][2] if len(layout.blocks) == 1 else layout.m_col
+        blocks = [(players, xh[:, cols].reshape(R, -1, m).transpose(2, 0, 1),
+                   np.empty((m, R, players.stop - players.start)))
+                  for players, cols, m in layout.blocks]
     scores = np.stack(y0s)
     x = _choice_blocks(kernel, scores, layout.blocks)
     v = None  # v(x) of the step before (full and optimistic feedback)
@@ -515,17 +533,13 @@ def run_many(
                         stream.random(out=draws[r, i, :b])
             delta = deltas[k] = feedback.exploration.value(k + 1)
             u = draws[:, :, j]
-            for players, cols, m, (xb, c), place in blocks:
-                xv = x[:, cols].reshape(R, -1, m).transpose(2, 0, 1)
-                a = acts[:, players]
-                _sample_actions_unchecked(_explored_unchecked(xv, delta, m, xb),
-                                          u[:, players], a, c)
-                # every index is in range, so "clip" only spares the buffering
-                xb.take(a * place.size + place, out=prob[:, players], mode="clip")
-            flat, vals = _iwe_entries(game, base, prob, acts)
+            _explored_unchecked(x, delta, m_x, xh)
+            for players, xb, c in blocks:
+                _sample_actions_unchecked(xb, u[:, players], acts[:, players], c)
+            flat = base + acts
             # the estimate moves only these N scores per row
             touched = scores.take(flat)
-            touched += gamma * vals
+            touched += gamma * _iwe_entries(game, xh, flat, acts)
             scores.put(flat, touched)
         else:
             if isinstance(feedback, (Full, Optimistic)):

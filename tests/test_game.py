@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rlgames.builtin import builtin_game, matching_pennies_2p, parity, vz4x4
+from rlgames import iwe
 from rlgames.errors import InputError
 from rlgames.game import (
     Game,
@@ -226,6 +227,27 @@ def test_payoff_calls_reject_a_player_out_of_range(player):
     for fn in (payoff_vector, payoff_mixed):
         with pytest.raises(InputError, match="player index"):
             fn(g, player, uniform)
+
+
+UNIFORM = [np.full(4, 0.25), np.full(4, 0.25)]
+# each public call that takes an action or player index, on vz4x4
+INDEX_CALLS = {
+    "iwe": lambda g, a: iwe(g, UNIFORM, [a, 1]),
+    "payoff_pure": lambda g, a: payoff_pure(g, 0, [a, 1]),
+    "pure_profile": lambda g, a: pure_profile(g, [a, 1]),
+    "player": lambda g, a: payoff_vector(g, a, UNIFORM),
+}
+
+
+@pytest.mark.parametrize("index", [0.7, True, "1"], ids=["fraction", "bool", "string"])
+@pytest.mark.parametrize("call", sorted(INDEX_CALLS))
+def test_non_integer_indices_are_rejected(call, index):
+    # int() would truncate 0.7 to 0 and read True and "1" as 1
+    g = vz4x4()
+    with pytest.raises(InputError, match="not an integer"):
+        INDEX_CALLS[call](g, index)
+    for integer in (1, np.int64(1)):
+        INDEX_CALLS[call](g, integer)
 
 
 def test_payoff_bound_is_max_abs_entry():

@@ -51,8 +51,10 @@ def seeded_game(shape, seed):
     return make_game([rng.uniform(-1.0, 1.0, shape) for _ in shape])
 
 
-# players of unequal action counts: the engine steps them in several blocks
-MIXED = {"mixed_2x3": seeded_game((2, 3), 23), "mixed_3x2x2": seeded_game((3, 2, 2), 322)}
+# players of unequal action counts: the engine steps them in several blocks;
+# (2, 2, 3, 3) has two players in each block, the second at a column offset
+MIXED = {"mixed_2x3": seeded_game((2, 3), 23), "mixed_3x2x2": seeded_game((3, 2, 2), 322),
+         "mixed_2x2x3x3": seeded_game((2, 2, 3, 3), 2233)}
 
 
 def game_named(name):
@@ -383,9 +385,10 @@ def step_public_blocks(game_name, kernel_name, T):
 
 
 # each kernel on the one-block vz4x4 and on two-block games of unequal
-# widths; a logit case is named by its game alone
+# widths, the last with two players per block; a logit case is named by its
+# game alone
 STEP_CASES = [pytest.param(g, k, id=g if k == "logit" else f"{g}-{k}")
-              for g in ("vz4x4", "mixed_2x3", "mixed_3x2x2")
+              for g in ("vz4x4", "mixed_2x3", "mixed_3x2x2", "mixed_2x2x3x3")
               for k in ("logit", "euclidean", "tsallis")]
 
 
@@ -548,6 +551,7 @@ def random_starts(game, count):
     ("mixed_3x2x2", "logit", Bandit(exploration=Schedule(0.1, 0.15))),
     ("mixed_2x3", "euclidean", Full()),
     ("mixed_3x2x2", "euclidean", Full()),
+    ("mixed_2x2x3x3", "logit", Bandit(exploration=Schedule(0.1, 0.15))),
 ])
 def test_batch_rows_match_single_runs(game_name, kernel_name, feedback):
     game = game_named(game_name)
@@ -604,6 +608,24 @@ def test_optimistic_steps_evaluate_the_field_once_each(vz, monkeypatch):
     monkeypatch.setattr(learning, "_field", counted)
     run_many(vz, LOGIT, Optimistic(), Schedule(0.2, 0.5), 30, random_starts(vz, 3))
     assert calls == [3] * 30
+
+
+def test_bandit_vhat_is_derived_without_the_field(vz, monkeypatch):
+    # the estimate reads the explored rows and the realized actions only,
+    # so deriving a bandit run's vhat and scores evaluates v(x) on no row
+    calls = []
+
+    def counted(game, x, out=None):
+        calls.append(len(x))
+        return field(game, x, out)
+
+    field = learning._field
+    monkeypatch.setattr(learning, "_field", counted)
+    monkeypatch.setattr(learning, "_DERIVE_ROWS", 7)
+    fb = Bandit(exploration=Schedule(0.1, 0.15))
+    for traj in run_many(vz, LOGIT, fb, Schedule(0.2, 0.5), 30, random_starts(vz, 3)):
+        assert traj.scores.shape == traj.vhat.shape == traj.x.shape
+    assert calls == []
 
 
 @pytest.mark.parametrize("label", sorted(FEEDBACKS))
