@@ -21,12 +21,13 @@ an action-major (m_b, R, n_b) view of its columns, so the running sums
 and the draw reduce over the short action axis one (R, n_b) slab at a
 time. The estimate, N entries per row, is added into the N scores at the
 realized actions' flat positions alone, and one gather of the explored
-buffer at those positions reads their probabilities. The payoff operator v(x) works per block too: the game stacks each
-block's payoff tensors once, and one multiply-add per (opponent, action)
-gives the whole block's payoff vectors. Every operation treats a row the
-same whatever other rows share the batch, so run r of a batch is bit for
-bit the single run from the same seed and start. :func:`run` is the
-one-run case.
+buffer at those positions reads their probabilities. The payoff operator
+v(x) works per block too: the game stacks each block's payoff tensors
+once, and one multiply-add per (opponent, action) gives the whole
+block's payoff vectors. Every operation treats a row the same whatever
+other rows share the batch, so run r of a batch is bit for bit the
+single run from the same seed and start. :func:`run` is the one-run
+case.
 
 The step loop computes only what the recursion needs and records only
 what cannot be recomputed from the play: x, and vhat under mirror-prox
@@ -452,26 +453,25 @@ def run_many(
     the batch, and each run draws from its own (seed, player) Philox
     streams.
 
-    Each step computes only what the next scores depend on. It stores x,
-    and vhat under mirror-prox and clairvoyant feedback. Full and
-    optimistic steps take vhat from :func:`_gain`. Bandit runs never
-    evaluate v(x). A step explores the play into one (R, D) buffer laid
-    out like the scores and draws each block's actions, into one (R, N)
-    row, from an action-major (m, R, n_b) view of its columns, summing
-    into a contiguous (m, R, n_b) buffer; buffers and views are built once
-    per call. The realized actions' flat positions index the scores and
-    the explored buffer alike, so one gather reads their probabilities,
-    and the step adds the N values of :func:`_iwe_entries` per row into
-    those scores. The runs draw ``_DERIVE_ROWS`` steps of each
-    (seed, player) stream at a time. Each trajectory derives its scores, a bandit run's realized actions, the
-    vhat it did not store, bias, noise and regret summands from those
-    rows on first read, one field per call of :class:`_Derivation`. The
-    runs of a batch share one read-only array each for n, gamma and tau,
-    and runs that never sample share one read-only block of -1 for their
-    realized actions. Scores that overflow (under bandit feedback only the
-    N a step moved can) raise :class:`InputError` naming the step, the run
-    and its seed; a record too large to allocate raises
-    :class:`ResourceLimitError`.
+    Each step computes only what the next scores depend on. It stores x, and
+    vhat under mirror-prox and clairvoyant feedback. Full and optimistic
+    steps take vhat from :func:`_gain`. Bandit runs never evaluate v(x). A
+    step explores the play into one (R, D) buffer laid out like the scores
+    and draws each block's actions, into one (R, N) row, from an
+    action-major (m, R, n_b) view of its columns, summing into a contiguous
+    (m, R, n_b) buffer; buffers and views are built once per call. The
+    realized actions' flat positions index the scores and the explored
+    buffer alike, so one gather reads their probabilities, and the step adds
+    the N values of :func:`_iwe_entries` per row into those scores. The runs
+    draw ``_DERIVE_ROWS`` steps of each (seed, player) stream at a time.
+    Each trajectory derives its scores, a bandit run's realized actions, the
+    vhat it did not store, bias, noise and regret summands from those rows
+    on first read, one field per call of :class:`_Derivation`. The runs of a
+    batch share one read-only array each for n, gamma and tau, and runs that
+    never sample share one read-only block of -1 for their realized actions.
+    Scores that overflow (under bandit feedback only the N a step moved can)
+    raise :class:`InputError` naming the step, the run and its seed; a
+    record too large to allocate raises :class:`ResourceLimitError`.
     """
     if not _is_count(horizon):
         raise InputError("horizon must be a positive integer")
