@@ -27,6 +27,11 @@ from .regularizers import Kernel
 from .trajectory import Trajectory, face_distances
 
 MIN_FIT_POINTS = 20
+# the limit-set protocol: the trailing fraction of a run it keeps, the L1
+# radius that dedups it, and the slack of its resilience audit
+LIMIT_WINDOW = 0.1
+LIMIT_EPSILON = 0.02
+RESILIENCE_TOL = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -115,21 +120,16 @@ class LimitSetEstimate:
     first_index: int  # first step index (0-based row) inside the window
 
 
-def estimate_limit_set(
-    trajectory: Trajectory, window_fraction: float = 0.1, epsilon: float = 0.02
-) -> LimitSetEstimate:
-    """Greedy L1 dedup (first-seen representatives) of the trailing window.
+def estimate_limit_set(trajectory: Trajectory) -> LimitSetEstimate:
+    """Greedy L1 dedup (first-seen representatives) of the trailing
+    `LIMIT_WINDOW` fraction of the run, at least one row.
 
     A row is a representative when no earlier representative lies within
-    `epsilon` of it, so the first uncovered row is always the next one:
-    each representative marks the rows it covers in one pass.
+    `LIMIT_EPSILON` of it, so the first uncovered row is always the next
+    one: each representative marks the rows it covers in one pass.
     """
-    if not 0.0 < window_fraction <= 1.0:
-        raise InputError("window fraction must lie in (0, 1]")
-    if not epsilon > 0:
-        raise InputError("dedup radius must be positive")
     T = trajectory.horizon
-    start = T - max(1, int(np.ceil(window_fraction * T)))
+    start = T - max(1, int(np.ceil(LIMIT_WINDOW * T)))
     window = trajectory.x[start:]
     covered = np.zeros(len(window), dtype=bool)
     reps = []  # window rows of the representatives
@@ -137,30 +137,25 @@ def estimate_limit_set(
     while len(uncovered):
         k = int(uncovered[0])
         reps.append(k)
-        covered |= np.abs(window - window[k]).sum(axis=1) <= epsilon
+        covered |= np.abs(window - window[k]).sum(axis=1) <= LIMIT_EPSILON
         uncovered = np.flatnonzero(~covered)
     return LimitSetEstimate(
         points=tuple(tuple(trajectory.profile_at(start + k)) for k in reps),
-        window_fraction=window_fraction,
-        epsilon=epsilon,
+        window_fraction=LIMIT_WINDOW,
+        epsilon=LIMIT_EPSILON,
         first_index=start,
     )
 
 
-def check_limit_resilience(
-    trajectory: Trajectory,
-    game: Game,
-    window_fraction: float = 0.1,
-    epsilon: float = 0.02,
-    tol: float = 0.02,
-) -> ResilienceReport:
-    """Estimate the limit set of a run and test it for resilience."""
+def check_limit_resilience(trajectory: Trajectory, game: Game) -> ResilienceReport:
+    """Estimate the limit set of a run and test it for resilience, counting
+    gaps down to -`RESILIENCE_TOL` as nonnegative."""
     if game.n_actions != trajectory.n_actions:
         raise InputError("trajectory and game disagree on action counts")
-    est = estimate_limit_set(trajectory, window_fraction=window_fraction, epsilon=epsilon)
+    est = estimate_limit_set(trajectory)
     # the points are rows of the run's own record, so they skip validation
     x, _ = _flat(np.stack(col) for col in zip(*est.points))
-    return _resilience_unchecked(game, x, tol)
+    return _resilience_unchecked(game, x, RESILIENCE_TOL)
 
 
 # ---------------------------------------------------------------------------

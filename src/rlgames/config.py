@@ -15,9 +15,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .game import Game, _is_count
-from .learning import Bandit, Clairvoyant, FeedbackKind, Schedule
+from .learning import Bandit, FeedbackKind, Schedule
 from .regularizers import kernel_from_name
 
 AUTO_FACES = "auto:minimal_clubs"
@@ -162,22 +162,11 @@ def _feedback_from(data: dict) -> FeedbackKind:
         raise ConfigError(
             f"feedback kind must be one of {list(_FEEDBACK_KINDS)}, got {kind!r}"
         )
-    extra = set(spec) - {"kind", "tol", "max_iters"}
-    if kind != "clairvoyant" and set(spec) - {"kind"}:
+    if set(spec) - {"kind"}:
         raise ConfigError(f"feedback kind {kind!r} takes no extra fields")
     cls = _FEEDBACK_KINDS[kind]
     if not fields(cls):
         return cls()
-    if cls is Clairvoyant:
-        if extra:
-            raise ConfigError(f"clairvoyant feedback has unknown fields {sorted(extra)}")
-        params = {key: spec[key] for key in ("tol", "max_iters") if key in spec}
-        if "tol" in params:
-            params["tol"] = _finite_number(params["tol"], "clairvoyant tol")
-        try:
-            return Clairvoyant(**params)
-        except InputError as exc:
-            raise ConfigError(str(exc)) from exc
     # bandit: the exploration schedule lives in its own top-level field
     if "exploration" not in data:
         raise ConfigError("bandit feedback requires an 'exploration' schedule")

@@ -31,7 +31,8 @@ from .errors import InputError, ResourceLimitError
 from .game import Game, _flat, _layout, _payoff_vectors_unchecked, check_profile
 from .minimax_lp import solve_minimax_lp
 
-MAX_FACES_DEFAULT = 1_000_000
+# `face_margins` refuses a face lattice larger than this
+MAX_FACES = 1_000_000
 # `is_curb` counts an LP value within this fraction of its gaps' spread as a tie
 _CURB_TIE = 1e-12
 
@@ -199,7 +200,7 @@ def _subset_reduce(arr: np.ndarray, axis: int, op) -> np.ndarray:
     return out.swapaxes(0, axis)
 
 
-def face_margins(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> np.ndarray:
+def face_margins(game: Game) -> np.ndarray:
     """`club_margin` of every face at once, bit for bit.
 
     The array has one axis per player; a face whose player-i support has
@@ -210,16 +211,13 @@ def face_margins(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> np.ndarray:
     complement mask, -inf for a full support) minus the worst inside one,
     and the max over the opposing face's vertices is a subset-max along
     each opponent axis. Raises ResourceLimitError before allocating if the
-    lattice exceeds `max_faces`.
+    lattice has more than `MAX_FACES` faces.
     """
     total = 1
     for m in game.n_actions:
         total *= (1 << m) - 1
-        if total > max_faces:
-            raise ResourceLimitError(
-                f"face lattice has more than {max_faces} faces; "
-                "raise max_faces to enumerate anyway"
-            )
+        if total > MAX_FACES:
+            raise ResourceLimitError(f"face lattice has more than {MAX_FACES} faces")
     margins = None
     for i in range(game.n_players):
         u = game.payoffs[i].swapaxes(0, i)
@@ -243,12 +241,13 @@ def _mask_support(mask: int) -> tuple[int, ...]:
     return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
 
 
-def enumerate_clubs(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> list[Face]:
+def enumerate_clubs(game: Game) -> list[Face]:
     """Every club face, sorted by total support size then lexicographically.
 
-    Raises ResourceLimitError if the face lattice exceeds `max_faces`.
+    Raises ResourceLimitError if the face lattice has more than `MAX_FACES`
+    faces.
     """
-    margins = face_margins(game, max_faces=max_faces)
+    margins = face_margins(game)
     found = [
         Face(supports=tuple(_mask_support(int(k) + 1) for k in index))
         for index in zip(*np.nonzero(margins > 0.0))
@@ -257,9 +256,10 @@ def enumerate_clubs(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> list[Face
     return found
 
 
-def minimal_clubs(game: Game, max_faces: int = MAX_FACES_DEFAULT) -> list[Face]:
-    """Clubs containing no strictly smaller club."""
-    return _minimal_faces(enumerate_clubs(game, max_faces=max_faces))
+def minimal_clubs(game: Game) -> list[Face]:
+    """Clubs containing no strictly smaller club (`MAX_FACES` bounds the
+    lattice, as in :func:`enumerate_clubs`)."""
+    return _minimal_faces(enumerate_clubs(game))
 
 
 def _minimal_faces(faces: list[Face]) -> list[Face]:
@@ -310,26 +310,25 @@ class ResilienceReport:
     witnesses: tuple[np.ndarray, ...]  # minimizing prepared mixture per player
 
 
-def is_resilient(game: Game, points, tol: float = 0.0) -> ResilienceReport:
+def is_resilient(game: Game, points) -> ResilienceReport:
     """Decide whether a finite point set defends every player's payoff.
 
     For each player the LP computes min over prepared mixtures z of the
     best excess max_x [u_i(x) - <v_i(x), z>] across the candidate points x.
-    Nonnegative gaps (within `tol`) for all players certify that no fixed
-    mixture beats the set uniformly.
+    Nonnegative gaps for all players, with no tolerance, certify that no
+    fixed mixture beats the set uniformly.
     """
     pts = [check_profile(game, p) for p in points]
     if not pts:
         raise InputError("at least one candidate point is required")
     x, _ = _flat(np.stack(col) for col in zip(*pts))
-    return _resilience_unchecked(game, x, tol)
+    return _resilience_unchecked(game, x, 0.0)
 
 
 def _resilience_unchecked(game: Game, x, tol: float) -> ResilienceReport:
     """:func:`is_resilient` on K candidate points given as flat (K, D)
-    profile rows, which it does not validate."""
-    if not tol >= 0:
-        raise InputError("tolerance must be nonnegative")
+    profile rows, which it does not validate, with gaps down to -`tol`
+    counted as nonnegative."""
     layout = _layout(game.n_actions)
     v = _payoff_vectors_unchecked(game, x)
     gaps = []

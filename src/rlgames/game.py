@@ -33,6 +33,7 @@ import numpy as np
 from .errors import InputError
 
 PROB_ATOL = 1e-9  # mixed strategies must sum to 1 within this
+_NASH_TIE = 1e-9  # a weak pure equilibrium's deviations tie within this
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +129,16 @@ def _index(value) -> int:
 
 def _indices(values) -> np.ndarray:
     """:func:`_index` over an array of any shape, as int64; integer arrays
-    pass as they are."""
+    pass as they are. An index that int64 cannot hold raises InputError."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values.astype(np.int64)
     obj = np.asarray(values, dtype=object)
-    return np.array([_index(v) for v in obj.flat], dtype=np.int64).reshape(obj.shape)
+    ints = [_index(v) for v in obj.flat]
+    try:
+        return np.array(ints, dtype=np.int64).reshape(obj.shape)
+    except OverflowError:
+        big = next(a for a in ints if not -2**63 <= a < 2**63)
+        raise InputError(f"action {big} out of range") from None
 
 
 def check_strategy(game: Game, player: int, x, rows: bool = False) -> np.ndarray:
@@ -400,16 +406,14 @@ def _correlated_payoffs(game: Game, player: int, dists):
 # equilibria and dominance
 
 
-def enumerate_pure_nash(game: Game, strict_only: bool = False, tol: float = 1e-9):
+def enumerate_pure_nash(game: Game, strict_only: bool = False):
     """All pure Nash profiles, sorted lexicographically.
 
-    Weak equilibria allow deviations to tie within `tol`; strict mode
+    Weak equilibria allow deviations to tie within `_NASH_TIE`; strict mode
     requires every unilateral deviation to be strictly worse (exact
     comparison, no tolerance, matching the exact treatment of ties in the
     setwise tests).
     """
-    if not tol >= 0:
-        raise InputError("tie tolerance must be nonnegative")
     ok = np.ones(game.n_actions, dtype=bool)
     for i in range(game.n_players):
         u = game.payoffs[i]
@@ -419,7 +423,7 @@ def enumerate_pure_nash(game: Game, strict_only: bool = False, tol: float = 1e-9
             count = (u == best).sum(axis=i, keepdims=True)
             ok &= (u == best) & (count == 1)
         else:
-            ok &= u >= best - tol
+            ok &= u >= best - _NASH_TIE
     return [tuple(int(a) for a in idx) for idx in np.argwhere(ok)]
 
 
@@ -435,10 +439,11 @@ def strictly_dominated_pure(game: Game, player: int) -> tuple[int, ...]:
     return tuple(int(a) for a in np.flatnonzero(dominated))
 
 
-def random_game(rng: np.random.Generator, n_actions, low: float = -1.0, high: float = 1.0) -> Game:
-    """A game with iid uniform payoffs, for property tests and calibration."""
+def random_game(rng: np.random.Generator, n_actions) -> Game:
+    """A game with iid uniform payoffs in [-1, 1], for property tests and
+    calibration."""
     shape = tuple(int(m) for m in n_actions)
-    tables = [rng.uniform(low, high, size=shape) for _ in shape]
+    tables = [rng.uniform(-1.0, 1.0, size=shape) for _ in shape]
     return make_game(tables)
 
 

@@ -55,7 +55,6 @@ and batches stay reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -67,6 +66,10 @@ from .trajectory import Trajectory
 
 _INIT_STREAM = 0xFFFFFFFF  # reserved substream for initial-score perturbation
 _DERIVE_ROWS = 1024  # steps per block of uniform draws and of derived rows
+# the clairvoyant fixed point: a row stops once its residual is at most
+# _PICARD_TOL, and a row still open after _PICARD_ITERS iterations stalls
+_PICARD_TOL = 1e-10
+_PICARD_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -112,18 +115,10 @@ class MirrorProx:
 @dataclass(frozen=True)
 class Clairvoyant:
     """Implicit step: vhat = v(x+) at the damped fixed point
-    x+ = Q(y + gamma v(x+))."""
+    x+ = Q(y + gamma v(x+)), solved to an L1 residual of `_PICARD_TOL`
+    within `_PICARD_ITERS` iterations."""
 
-    tol: float = 1e-10
-    max_iters: int = 1000
     label = "clairvoyant"
-
-    def __post_init__(self):
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, Real)
-                or not 0 < self.tol < np.inf):
-            raise InputError("clairvoyant tol must be a positive number")
-        if not _is_count(self.max_iters):
-            raise InputError("clairvoyant max_iters must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -404,14 +399,15 @@ class _Derivation:
         return out
 
 
-def _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma):
+def _clairvoyant_point(scores, x, seeds, game, kernel, gamma):
     """Damped Picard iteration per row from the current play `x`; a row
-    stops once its own residual closes, so it takes the same iterates as
-    it would alone."""
+    stops once its own residual is at most `_PICARD_TOL`, so it takes the
+    same iterates as it would alone. A row still open after
+    `_PICARD_ITERS` iterations raises NumericError."""
     layout = _layout(game.n_actions)
     x = x.copy()
     active = np.arange(len(seeds))
-    for _ in range(feedback.max_iters):
+    for _ in range(_PICARD_ITERS):
         xa = x[active]
         target = _choice_blocks(kernel, scores[active] + gamma * _field(game, xa),
                                 layout.blocks)
@@ -423,7 +419,7 @@ def _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma):
             axis=0,
         )
         x[active] = x_new
-        still = ~(resid <= feedback.tol)
+        still = ~(resid <= _PICARD_TOL)
         if not still.any():
             return x
         active = active[still]
@@ -431,7 +427,7 @@ def _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma):
     run_index = int(active[0])
     raise NumericError(
         f"clairvoyant fixed point stalled at residual {resid[0]:.3e} "
-        f"after {feedback.max_iters} iterations in run {run_index} "
+        f"after {_PICARD_ITERS} iterations in run {run_index} "
         f"(seed {seeds[run_index]})"
     )
 
@@ -550,7 +546,7 @@ def run_many(
                 x_half = _choice_blocks(kernel, scores + gamma * _field(game, x), layout.blocks)
                 vhat = _field(game, x_half, out_vhat[:, k])
             else:
-                x_plus = _clairvoyant_point(scores, x, seeds, game, kernel, feedback, gamma)
+                x_plus = _clairvoyant_point(scores, x, seeds, game, kernel, gamma)
                 vhat = _field(game, x_plus, out_vhat[:, k])
             scores += gamma * vhat
             touched = scores  # every score moved

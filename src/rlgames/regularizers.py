@@ -27,6 +27,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InputError, NumericError
+from .game import _check_simplex
 
 _NEWTON_ITERS = 200
 _CLOSE_TOL = 1e-13  # a power-kernel row freezes once |sum x - 1| is this small
@@ -280,8 +281,7 @@ def fenchel_coupling(kernel: Kernel, p, y) -> float:
     yv = np.asarray(y, dtype=float)
     if p.shape != yv.shape or p.ndim != 1:
         raise InputError("base point and scores must be vectors of equal length")
-    if np.any(p < -1e-12) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise InputError("base point must lie on the probability simplex")
+    _check_simplex(p, "base point")
     h_p = float(kernel.entropy(np.clip(p, 0.0, None)))
     return h_p + conjugate(kernel, yv) - float(np.dot(yv, p))
 

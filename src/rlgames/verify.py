@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import energy_series, fit_rate
+from .analysis import RESILIENCE_TOL, energy_series, fit_rate
 from .builtin import builtin_game, matching_pennies_2p
 from .config import config_from_dict
 from .errors import InputError
@@ -401,7 +401,7 @@ def _check_batch_resilience(ctx):
     total = sum(a["runs"] for a in batches.values())
     return (
         resilient == total,
-        f"{resilient}/{total} run limit sets resilient at tol 0.02",
+        f"{resilient}/{total} run limit sets resilient at tol {RESILIENCE_TOL}",
         "every run",
     )
 

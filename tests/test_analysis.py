@@ -27,6 +27,7 @@ from rlgames import (
     run,
     singleton_face,
 )
+from rlgames import analysis
 from rlgames.analysis import _line_fit
 from rlgames.builtin import BUILTIN_GAMES
 from rlgames.game import make_game, payoff_vector
@@ -254,11 +255,13 @@ def _limit_points_per_row(traj, window_fraction, epsilon):
 
 
 @pytest.mark.parametrize("epsilon", [0.02, 0.005])
-def test_limit_set_matches_a_per_row_loop(epsilon):
+def test_limit_set_matches_a_per_row_loop(epsilon, monkeypatch):
+    monkeypatch.setattr(analysis, "LIMIT_EPSILON", epsilon)
     game = builtin_game("outside_mp")
     bandit = Bandit(Schedule(0.1, 0.15))
     traj = run(game, kernel_from_name("euclidean"), bandit, Schedule(0.2, 0.5), 3000, seed=1)
-    est = estimate_limit_set(traj, epsilon=epsilon)
+    est = estimate_limit_set(traj)
+    assert est.epsilon == epsilon
     reps = _limit_points_per_row(traj, 0.1, epsilon)
     assert len(reps) >= 100  # a noisy run with hundreds of representatives
     assert len(est.points) == len(reps)
@@ -268,28 +271,18 @@ def test_limit_set_matches_a_per_row_loop(epsilon):
 
 def test_limit_set_window_handles_short_runs():
     rows = [[1.0, 0.0]] * 3
-    est = estimate_limit_set(make_traj((2,), rows), window_fraction=0.1)
+    est = estimate_limit_set(make_traj((2,), rows))
     assert est.first_index == 2  # window never empties
     assert len(est.points) == 1
 
 
-def test_limit_set_validation(vz_traj):
-    with pytest.raises(InputError):
-        estimate_limit_set(vz_traj, window_fraction=0.0)
-    with pytest.raises(InputError):
-        estimate_limit_set(vz_traj, window_fraction=1.2)
-    with pytest.raises(InputError):
-        estimate_limit_set(vz_traj, epsilon=0.0)
-
-
 @pytest.mark.parametrize("call", [
-    lambda t, face: estimate_limit_set(t, epsilon=float("nan")),
     lambda t, face: fit_rate(t, face, LOGIT, atol=float("nan")),
     lambda t, face: fit_rate(t, face, LOGIT, window=float("nan")),
-], ids=["limit_set_epsilon", "fit_rate_atol", "fit_rate_window"])
+], ids=["fit_rate_atol", "fit_rate_window"])
 def test_a_nan_tolerance_is_rejected(vz_traj, call):
-    # every comparison with NaN is false, so a NaN tolerance would keep
-    # every window row or empty the regression window
+    # every comparison with NaN is false, so a NaN tolerance would empty
+    # the regression window
     with pytest.raises(InputError):
         call(vz_traj, face_from_lists([[0], [0]]))
 

@@ -179,8 +179,6 @@ def test_run_report_distances_are_the_csv_last_row(tmp_path, capsys):
     ({"init": {"kind": "grid", "radius": HUGE}},
      "grid init radius must be finite"),
     ({"step": {"base": HUGE}}, "step base must be finite"),
-    ({"feedback": {"kind": "clairvoyant", "tol": HUGE}},
-     "clairvoyant tol must be finite"),
 ])
 def test_malformed_config_numbers_exit_2_with_a_json_error(tmp_path, capsys, case, fragment):
     cfg = write_config(tmp_path, **case)

@@ -65,9 +65,8 @@ def test_full_config_round_trip():
 
 def test_feedback_accepts_bare_strings():
     assert config_from_dict(minimal(feedback="mirror_prox")).feedback == MirrorProx()
-    cfg = config_from_dict(minimal(feedback={"kind": "clairvoyant", "tol": 1e-8,
-                                             "max_iters": 50}))
-    assert cfg.feedback == Clairvoyant(tol=1e-8, max_iters=50)
+    cfg = config_from_dict(minimal(feedback={"kind": "clairvoyant"}))
+    assert cfg.feedback == Clairvoyant()
 
 
 def test_config_from_json_file(tmp_path):
@@ -108,10 +107,8 @@ def test_config_from_json_file(tmp_path):
     (minimal(feedback="bandit", exploration={"exponent": 0.2}),
      "missing its base"),
     (minimal(feedback={"kind": "full", "tol": 1.0}), "takes no extra fields"),
-    (minimal(feedback={"kind": "clairvoyant", "tol": -1}),
-     "tol must be a positive number"),
-    (minimal(feedback={"kind": "clairvoyant", "max_iters": 0}),
-     "max_iters must be a positive integer"),
+    (minimal(feedback={"kind": "clairvoyant", "tol": 1e-8}), "takes no extra fields"),
+    (minimal(feedback={"kind": "clairvoyant", "max_iters": 50}), "takes no extra fields"),
     (minimal(step={"base": 0.2, "warmup": 3}), "unknown fields"),
     (minimal(step={"exponent": 0.5}), "missing its base"),
     (minimal(step={"base": "fast"}), "base must be a number"),
@@ -140,8 +137,7 @@ def test_config_from_json_file(tmp_path):
     (minimal(step={"base": 0.2, "exponent": "1"}), "step exponent must be a number"),
     (minimal(feedback="bandit", exploration={"base": 10**400}),
      "exploration base must be finite"),
-    (minimal(feedback={"kind": "clairvoyant", "tol": "small"}),
-     "clairvoyant tol must be a number"),
+    (minimal(feedback={"kind": "clairvoyant", "tol": "small"}), "takes no extra fields"),
     (minimal(init={"kind": "explicit", "scores": [[0.0, "1"]]}),
      "explicit init score must be a number"),
     (minimal(init={"kind": "explicit", "scores": [[-10**400]]}),

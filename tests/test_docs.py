@@ -1,5 +1,6 @@
 import ast
 import builtins
+import inspect
 import re
 from pathlib import Path
 
@@ -81,3 +82,37 @@ def test_every_export_has_a_caller():
             read |= names
     uncalled = {name for name in rlgames.__all__ if name not in read}
     assert uncalled == UNCALLED_EXPORTS
+
+
+# the parameters with defaults of each export that has any; a fixed value
+# of the protocol is a module constant, not a keyword no caller sets
+PUBLIC_DEFAULTS = {
+    "GridInit": ("values", "dims", "radius"),
+    "RateFit": ("hit_index", "slope", "intercept", "shift", "r_squared", "window",
+                "n_points"),
+    "Schedule": ("exponent",),
+    "Trajectory": ("realized", "vhat", "derive"),
+    "check_profile": ("rows",),
+    "check_strategy": ("rows",),
+    "enumerate_pure_nash": ("strict_only",),
+    "fit_rate": ("atol", "window"),
+    "regret": ("mode",),
+    "run": ("y0", "seed"),
+    "run_batch": ("out_dir",),
+    "run_experiment": ("out_dir",),
+    "write_trajectory_csv": ("faces",),
+}
+
+
+def test_public_defaults_are_the_snapshot():
+    """Adding a defaulted parameter to an export means editing the snapshot."""
+    found = {}
+    for name in rlgames.__all__:
+        obj = getattr(rlgames, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        defaults = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+        if defaults:
+            found[name] = defaults
+    assert found == PUBLIC_DEFAULTS

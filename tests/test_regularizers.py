@@ -519,6 +519,9 @@ def test_coupling_validation():
         fenchel_coupling(k, np.array([0.9, 0.3]), np.zeros(2))
     with pytest.raises(InputError):
         fenchel_coupling(k, np.array([-0.2, 1.2]), np.zeros(2))
+    # NaN fails every comparison, so a bounds-only check would let it through
+    with pytest.raises(InputError, match="NaN"):
+        fenchel_coupling(k, np.array([np.nan, 1.0]), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
