@@ -38,22 +38,17 @@ RESILIENCE_TOL = 0.02
 # regret
 
 
-def regret(trajectory: Trajectory, game: Game, player: int, mode: str = "expected") -> np.ndarray:
-    """Cumulative external regret R_i(n) for n = 1..T.
+def regret(trajectory: Trajectory, game: Game, mode: str = "expected") -> np.ndarray:
+    """Every player's cumulative external regret R_i(n) for n = 1..T, as
+    the (T, N) columns of one array.
 
     expected mode scores the played mixed profiles; realized mode scores
     the sampled pure profiles, as one-hot rows, and requires a run that
-    actually sampled. Both read the payoff operator on flat rows; on
-    one-hot rows its entries are the pure payoffs exactly.
+    actually sampled. Both take one pass of the payoff operator over the
+    scored rows, in blocks; the operator treats each row alone, so the
+    blocks give the same bits, and on one-hot rows its entries are the
+    pure payoffs exactly.
     """
-    check_player(game, player)
-    return _regrets(trajectory, game, mode)[:, player]
-
-
-def _regrets(trajectory: Trajectory, game: Game, mode: str = "expected") -> np.ndarray:
-    """Every player's :func:`regret`, as the (T, N) columns of one array,
-    from one pass of the payoff operator over the scored rows. The
-    operator treats each row alone, so the blocks give the same bits."""
     if game.n_actions != trajectory.n_actions:
         raise InputError("trajectory and game disagree on action counts")
     layout = _layout(game.n_actions)
@@ -110,19 +105,11 @@ def energy_series(trajectory: Trajectory, deviation: DeviationVector) -> np.ndar
 # limit sets
 
 
-@dataclass(frozen=True, eq=False)
-class LimitSetEstimate:
-    """Deduplicated trailing-window profiles standing in for the limit set."""
-
-    points: tuple  # tuple of per-player strategy lists
-    window_fraction: float
-    epsilon: float
-    first_index: int  # first step index (0-based row) inside the window
-
-
-def estimate_limit_set(trajectory: Trajectory) -> LimitSetEstimate:
-    """Greedy L1 dedup (first-seen representatives) of the trailing
-    `LIMIT_WINDOW` fraction of the run, at least one row.
+def estimate_limit_set(trajectory: Trajectory) -> tuple:
+    """The profiles standing in for the run's limit set: a greedy L1 dedup
+    (first-seen representatives) of the trailing `LIMIT_WINDOW` fraction
+    of the run, at least one row. Each profile is a tuple of per-player
+    strategies, and the first is always the window's first row.
 
     A row is a representative when no earlier representative lies within
     `LIMIT_EPSILON` of it, so the first uncovered row is always the next
@@ -139,22 +126,19 @@ def estimate_limit_set(trajectory: Trajectory) -> LimitSetEstimate:
         reps.append(k)
         covered |= np.abs(window - window[k]).sum(axis=1) <= LIMIT_EPSILON
         uncovered = np.flatnonzero(~covered)
-    return LimitSetEstimate(
-        points=tuple(tuple(trajectory.profile_at(start + k)) for k in reps),
-        window_fraction=LIMIT_WINDOW,
-        epsilon=LIMIT_EPSILON,
-        first_index=start,
-    )
+    return tuple(tuple(trajectory.profile_at(start + k)) for k in reps)
 
 
 def check_limit_resilience(trajectory: Trajectory, game: Game) -> ResilienceReport:
     """Estimate the limit set of a run and test it for resilience, counting
-    gaps down to -`RESILIENCE_TOL` as nonnegative."""
+    gaps down to -`RESILIENCE_TOL` as nonnegative; the report's
+    `resilient` holds that verdict, and its gaps and witnesses are the
+    per-player LP values and minimizers."""
     if game.n_actions != trajectory.n_actions:
         raise InputError("trajectory and game disagree on action counts")
-    est = estimate_limit_set(trajectory)
+    points = estimate_limit_set(trajectory)
     # the points are rows of the run's own record, so they skip validation
-    x, _ = _flat(np.stack(col) for col in zip(*est.points))
+    x, _ = _flat(np.stack(col) for col in zip(*points))
     return _resilience_unchecked(game, x, RESILIENCE_TOL)
 
 

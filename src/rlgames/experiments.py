@@ -12,7 +12,15 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .analysis import _regrets, check_limit_resilience, estimate_limit_set, fit_rate
+from .analysis import (
+    LIMIT_EPSILON,
+    LIMIT_WINDOW,
+    RESILIENCE_TOL,
+    check_limit_resilience,
+    estimate_limit_set,
+    fit_rate,
+    regret,
+)
 from .builtin import BUILTIN_GAMES, builtin_game
 from .config import AUTO_FACES, ExperimentConfig
 from .errors import ConfigError, DiagnosticError, InputError
@@ -96,8 +104,8 @@ def _rate_fit_entry(traj, face, kernel):
 
 def diagnostic_report(game: Game, traj: Trajectory, kernel, faces) -> dict:
     """The per-run JSON report: regret, rate fits, limit set, resilience."""
-    final_regret = _regrets(traj, game)[-1].tolist()
-    limits = estimate_limit_set(traj)
+    final_regret = regret(traj, game)[-1].tolist()
+    points = estimate_limit_set(traj)
     resilience = check_limit_resilience(traj, game)
     return {
         "horizon": traj.horizon,
@@ -107,14 +115,14 @@ def diagnostic_report(game: Game, traj: Trajectory, kernel, faces) -> dict:
         "regret_final": final_regret,
         "rate_fit": [_rate_fit_entry(traj, f, kernel) for f in faces],
         "limit_set": {
-            "window_fraction": limits.window_fraction,
-            "epsilon": limits.epsilon,
-            "n_points": len(limits.points),
-            "points": [[x.tolist() for x in p] for p in limits.points],
+            "window_fraction": LIMIT_WINDOW,
+            "epsilon": LIMIT_EPSILON,
+            "n_points": len(points),
+            "points": [[x.tolist() for x in p] for p in points],
         },
         "resilience": {
             "resilient": resilience.resilient,
-            "tol": resilience.tol,
+            "tol": RESILIENCE_TOL,
             "min_gap": min(resilience.gaps),
         },
         "tracked_faces": [_face_key(f) for f in faces],

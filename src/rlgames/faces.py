@@ -302,10 +302,11 @@ def is_curb(game: Game, face: Face) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ResilienceReport:
-    """Per-player minimax certificates for a candidate point set."""
+    """Per-player minimax certificates for a candidate point set:
+    `resilient` is the verdict at the tolerance its caller audited with,
+    `gaps` the per-player LP values and `witnesses` their minimizers."""
 
     resilient: bool
-    tol: float
     gaps: tuple[float, ...]
     witnesses: tuple[np.ndarray, ...]  # minimizing prepared mixture per player
 
@@ -339,10 +340,8 @@ def _resilience_unchecked(game: Game, x, tol: float) -> ResilienceReport:
         value, z = solve_minimax_lp(zip(offsets, slopes), game.n_actions[i])
         gaps.append(value)
         witnesses.append(z)
-    resilient = all(g >= -tol for g in gaps)
     return ResilienceReport(
-        resilient=resilient,
-        tol=tol,
+        resilient=all(g >= -tol for g in gaps),
         gaps=tuple(gaps),
         witnesses=tuple(witnesses),
     )

@@ -131,6 +131,10 @@ def _indices(values) -> np.ndarray:
     """:func:`_index` over an array of any shape, as int64; integer arrays
     pass as they are. An index that int64 cannot hold raises InputError."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        # astype would wrap uint64 values of 2**63 and above to negatives
+        big = values[values >= 2**63] if values.dtype == np.uint64 else ()
+        if len(big):
+            raise InputError(f"action {big[0]} out of range")
         return values.astype(np.int64)
     obj = np.asarray(values, dtype=object)
     ints = [_index(v) for v in obj.flat]

@@ -22,7 +22,7 @@ from .analysis import RESILIENCE_TOL, energy_series, fit_rate
 from .builtin import builtin_game, matching_pennies_2p
 from .config import config_from_dict
 from .errors import InputError
-from .experiments import execute_batch, run_batch, run_experiment
+from .experiments import CONVERGENCE_THRESHOLD, execute_batch, run_batch, run_experiment
 from .faces import (
     DeviationVector,
     check_face,
@@ -359,7 +359,8 @@ def _check_bandit_grid(ctx):
     )
     return (
         fraction >= 0.9,
-        f"{converged}/{total} runs within 0.05 of a minimal club ({detail})",
+        f"{converged}/{total} runs within {CONVERGENCE_THRESHOLD} of a minimal club "
+        f"({detail})",
         ">= 90% of runs",
     )
 

@@ -80,13 +80,13 @@ def test_hand_built_trajectory_names_the_field_it_cannot_derive(name):
 def test_regret_validation(vz, vz_traj):
     other = builtin_game("parity")
     with pytest.raises(InputError):
-        regret(vz_traj, other, 0)
+        regret(vz_traj, other)
     with pytest.raises(InputError):
-        regret(vz_traj, vz, 2)
+        regret(vz_traj, vz, mode="hopeful")
+    with pytest.raises(InputError, match="mode must be"):
+        regret(vz_traj, vz, 0)  # a player index passed where the mode goes
     with pytest.raises(InputError):
-        regret(vz_traj, vz, 0, mode="hopeful")
-    with pytest.raises(InputError):
-        regret(vz_traj, vz, 0, mode="realized")  # run never sampled
+        regret(vz_traj, vz, mode="realized")  # run never sampled
 
 
 def test_expected_regret_replays_the_rows(vz, vz_traj):
@@ -95,9 +95,10 @@ def test_expected_regret_replays_the_rows(vz, vz_traj):
     bandit = run(parity, LOGIT, fb, Schedule(0.2, 0.5), 300, seed=8)
     for game, traj in ((vz, vz_traj), (parity, bandit)):
         T = traj.horizon
+        regrets = regret(traj, game)
+        assert regrets.shape == (T, game.n_players)
         for i in range(game.n_players):
-            r = regret(traj, game, i)
-            assert r.shape == (T,)
+            r = regrets[:, i]
             assert r[0] >= -1e-12
             # one payoff_vector call per recorded profile
             vs = np.array([payoff_vector(game, i, traj.profile_at(k)) for k in range(T)])
@@ -112,8 +113,7 @@ def test_expected_regret_replays_the_rows(vz, vz_traj):
 def test_regret_vanishes_on_a_constant_game():
     flat = make_game([np.full((2, 2), 1.5), np.full((2, 2), -0.5)])
     traj = run(flat, LOGIT, Full(), Schedule(0.2, 0.5), 50)
-    for i in range(2):
-        assert np.allclose(regret(traj, flat, i), 0.0, atol=1e-12)
+    assert np.allclose(regret(traj, flat), 0.0, atol=1e-12)
 
 
 def test_realized_regret_uses_sampled_actions(vz):
@@ -122,9 +122,10 @@ def test_realized_regret_uses_sampled_actions(vz):
     mixed = make_game(np.random.default_rng(4).integers(-3, 4, (3, 3, 2, 2)))
     for game in (vz, builtin_game("parity"), mixed):
         traj = run(game, LOGIT, fb, Schedule(0.2, 0.5), 300, seed=8)
+        regrets = regret(traj, game, mode="realized")
+        assert regrets.shape == (300, game.n_players)
         for i in range(game.n_players):
-            r = regret(traj, game, i, mode="realized")
-            assert r.shape == (300,)
+            r = regrets[:, i]
             # replay by hand from the realized action columns
             u = game.payoffs[i]
             values = []
@@ -144,8 +145,9 @@ def test_average_regret_is_small_on_every_builtin():
     for name in sorted(BUILTIN_GAMES):
         g = builtin_game(name)
         traj = run(g, LOGIT, Full(), Schedule(0.2, 0.5), T)
+        final = regret(traj, g)[-1]
         for i in range(g.n_players):
-            assert regret(traj, g, i)[-1] / T < 0.05, (name, i)
+            assert final[i] / T < 0.05, (name, i)
 
 
 def test_replay_regret_of_the_half_half_distribution(vz):
@@ -224,23 +226,21 @@ def test_rate_function_bounds_distance_termwise():
 def test_limit_set_of_a_convergent_run_is_a_point(vz):
     y0 = [np.array([3.0, 0.0, 0.0, 0.0]), np.array([3.0, 0.0, 0.0, 0.0])]
     traj = run(vz, LOGIT, Full(), Schedule(0.2, 0.5), 4000, y0=y0)
-    est = estimate_limit_set(traj)
-    assert len(est.points) == 1
-    assert est.window_fraction == 0.1
-    assert est.epsilon == 0.02
-    assert est.first_index == 4000 - 400
-    prof = est.points[0]
-    assert np.allclose(np.concatenate(prof), traj.x[-1], atol=0.05)
+    points = estimate_limit_set(traj)
+    assert len(points) == 1
+    # the first representative is the window's first row
+    assert np.array_equal(np.concatenate(points[0]), np.concatenate(traj.profile_at(3600)))
+    assert np.allclose(np.concatenate(points[0]), traj.x[-1], atol=0.05)
 
 
 def test_limit_set_of_an_alternating_path_has_two_points():
     a = [1.0, 0.0, 0.0, 1.0]
     b = [0.0, 1.0, 1.0, 0.0]
     rows = [a if k % 2 == 0 else b for k in range(100)]
-    est = estimate_limit_set(make_traj((2, 2), rows))
-    assert len(est.points) == 2
-    assert np.allclose(np.concatenate(est.points[0]), a)
-    assert np.allclose(np.concatenate(est.points[1]), b)
+    points = estimate_limit_set(make_traj((2, 2), rows))
+    assert len(points) == 2
+    assert np.allclose(np.concatenate(points[0]), a)
+    assert np.allclose(np.concatenate(points[1]), b)
 
 
 def _limit_points_per_row(traj, window_fraction, epsilon):
@@ -260,20 +260,19 @@ def test_limit_set_matches_a_per_row_loop(epsilon, monkeypatch):
     game = builtin_game("outside_mp")
     bandit = Bandit(Schedule(0.1, 0.15))
     traj = run(game, kernel_from_name("euclidean"), bandit, Schedule(0.2, 0.5), 3000, seed=1)
-    est = estimate_limit_set(traj)
-    assert est.epsilon == epsilon
+    points = estimate_limit_set(traj)
     reps = _limit_points_per_row(traj, 0.1, epsilon)
     assert len(reps) >= 100  # a noisy run with hundreds of representatives
-    assert len(est.points) == len(reps)
-    for point, k in zip(est.points, reps):
+    assert len(points) == len(reps)
+    for point, k in zip(points, reps):
         assert np.concatenate(point).tobytes() == traj.x[k].tobytes()
 
 
 def test_limit_set_window_handles_short_runs():
-    rows = [[1.0, 0.0]] * 3
-    est = estimate_limit_set(make_traj((2,), rows))
-    assert est.first_index == 2  # window never empties
-    assert len(est.points) == 1
+    rows = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
+    points = estimate_limit_set(make_traj((2,), rows))
+    assert len(points) == 1  # window never empties: it keeps the last row
+    assert np.array_equal(points[0][0], [0.0, 1.0])
 
 
 @pytest.mark.parametrize("call", [
@@ -404,9 +403,8 @@ def parity_report():
 @pytest.mark.parametrize("make", [
     lambda: builtin_game("parity"),
     parity_run,
-    lambda: estimate_limit_set(parity_run()),
     parity_report,
-], ids=["Game", "Trajectory", "LimitSetEstimate", "ResilienceReport"])
+], ids=["Game", "Trajectory", "ResilienceReport"])
 def test_array_records_compare_by_identity(make):
     a, b = make(), make()
     assert a == a

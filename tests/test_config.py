@@ -147,6 +147,7 @@ def test_config_from_json_file(tmp_path):
     (minimal(init={"kind": "grid", "values": [10**400]}), "grid init value must be finite"),
     (minimal(init={"kind": "grid", "radius": True}), "grid init radius must be a number"),
     (minimal(init={"kind": "grid", "radius": 10**400}), "grid init radius must be finite"),
+    (minimal(faces=7), "faces must be a string sentinel or a list"),
 ])
 def test_config_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 SRC = ROOT / "src" / "rlgames"
 DEMOS = ROOT / "demos"
+BENCH_WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def test_readme_calls_name_the_api():
@@ -65,7 +67,6 @@ UNCALLED_EXPORTS = {
     "distance_to_face",  # the checked one-profile form of face_distances (README)
     "game_to_json",  # the canonical writer the game fixtures are pinned to
     "payoff_mixed",  # timed by perfbench/worker.py
-    "regret",  # one player's column of the regrets that the report takes at once
 }
 
 
@@ -116,3 +117,45 @@ def test_public_defaults_are_the_snapshot():
         if defaults:
             found[name] = defaults
     assert found == PUBLIC_DEFAULTS
+
+
+# perfbench's tracer wraps rlgames attributes by name; these wraps name
+# attributes the program no longer has, so their per-layer metrics read 0
+STALE_TRACE_WRAPS = {"rlgames.cli.minimal_clubs", "rlgames.learning.choice_map_profile"}
+
+
+def _resolves(module_name, attr):
+    module = importlib.import_module(module_name)
+    if hasattr(module, attr):
+        return True
+    try:
+        importlib.import_module(f"{module_name}.{attr}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_benchmark_worker_names_resolve():
+    """The benchmark worker's rlgames imports all resolve, and the wraps of
+    its tracer that do not are exactly the known stale ones, so a refactor
+    that moves a traced call fails here instead of zeroing a metric."""
+    tree = ast.parse(BENCH_WORKER.read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rlgames"
+        for alias in node.names
+    ]
+    assert imports
+    assert [f"{m}.{a}" for m, a in imports if not _resolves(m, a)] == []
+    wraps = [
+        tuple(arg.value for arg in node.args[:2])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "wrap"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "tracer"
+    ]
+    assert wraps
+    assert {f"{m}.{a}" for m, a in wraps if not _resolves(m, a)} == STALE_TRACE_WRAPS

@@ -64,6 +64,10 @@ def test_make_game_rejects_empty_or_wrong_player_counts():
         make_game([])
     with pytest.raises(InputError):
         Game(n_actions=(2, 2), payoffs=(np.zeros((2, 2)),))
+    with pytest.raises(InputError, match="game needs at least one player"):
+        Game(n_actions=(), payoffs=())
+    with pytest.raises(InputError, match="every player needs at least one action"):
+        Game(n_actions=(0,), payoffs=(np.zeros(0),))
 
 
 def test_check_strategy_rejects_bad_inputs():
@@ -84,6 +88,8 @@ def test_check_profile_needs_one_strategy_per_player():
     g = parity()
     with pytest.raises(InputError):
         check_profile(g, [[1, 0], [1, 0]])
+    with pytest.raises(InputError, match="pure profile has 1 actions, expected 2"):
+        pure_profile(vz4x4(), [0])
 
 
 def test_check_distribution_shape_and_mass():
@@ -258,6 +264,15 @@ def test_indices_too_large_for_int64_are_rejected(call, index):
         INDEX_CALLS[call](vz4x4(), index)
 
 
+@pytest.mark.parametrize("index", [2**64 - 4, 2**63], ids=["2**64-4", "2**63"])
+def test_unsigned_indices_too_large_for_int64_are_rejected(index):
+    # astype(np.int64) would wrap these to -4 and -2**63
+    g = vz4x4()
+    with pytest.raises(InputError, match=f"action {index} out of range"):
+        iwe(g, UNIFORM, np.array([index, 1], dtype=np.uint64))
+    iwe(g, UNIFORM, np.array([1, 1], dtype=np.uint64))
+
+
 def test_payoff_bound_is_max_abs_entry():
     g = two_player([[1, -7], [0, 2]], [[0, 0], [3, 0]])
     assert payoff_bound(g) == 7.0
@@ -392,6 +407,10 @@ def test_game_from_dict_rejects_malformed_payloads():
         breakage(data)
         with pytest.raises(InputError):
             game_from_dict(data)
+    with pytest.raises(InputError, match="game document must be a JSON object"):
+        game_from_dict([1])
+    with pytest.raises(InputError, match="'payoffs' must list one flat table per player"):
+        game_from_dict({"players": 1, "actions": [2], "payoffs": "ab"})
 
 
 def test_game_from_dict_rejects_nonfinite_entries():

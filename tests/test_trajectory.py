@@ -67,7 +67,7 @@ def test_list_action_counts_become_a_tuple_of_ints(tmp_path, vz, traj):
     assert all(np.array_equal(a, b) for a, b in zip(listed.profile_at(-1), traj.profile_at(-1)))
     face = singleton_face(vz, (0, 0))
     assert np.array_equal(face_distances(listed, face), face_distances(traj, face))
-    assert np.array_equal(regret(listed, vz, 1), regret(traj, vz, 1))
+    assert np.array_equal(regret(listed, vz), regret(traj, vz))
     write_trajectory_csv(listed, tmp_path / "listed.csv", faces=[face])
     write_trajectory_csv(traj, tmp_path / "tuple.csv", faces=[face])
     assert (tmp_path / "listed.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
