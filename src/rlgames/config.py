@@ -62,9 +62,9 @@ class GridInit:
     coordinate, seeded per run so reruns are reproducible.
     """
 
-    values: tuple[float, ...] = (-1.0, 0.0, 1.0)
-    dims: int = 3
-    radius: float = 0.1
+    values: tuple[float, ...]
+    dims: int
+    radius: float
 
     def coordinate_slots(self, game: Game) -> list[tuple[int, int]]:
         total = sum(game.n_actions)

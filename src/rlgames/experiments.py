@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from .analysis import (
@@ -90,16 +91,9 @@ def _rate_fit_entry(traj, face, kernel):
         fit = fit_rate(traj, face, kernel)
     except DiagnosticError as exc:
         return {"face": _face_key(face), "error": str(exc)}
-    return {
-        "face": _face_key(face),
-        "model": fit.model,
-        "hit_index": fit.hit_index,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "shift": fit.shift,
-        "r_squared": fit.r_squared,
-        "n_points": fit.n_points,
-    }
+    fields = asdict(fit)
+    del fields["window"]
+    return {"face": _face_key(face), **fields}
 
 
 def diagnostic_report(game: Game, traj: Trajectory, kernel, faces) -> dict:
@@ -138,6 +132,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     """
     game = load_game_spec(config.game)
     kernel = kernel_from_name(config.kernel)
+    faces = resolve_faces(game, config.faces)
     starts = _perturbed_starts(config, game)
     if len(starts) != 1:
         raise ConfigError(
@@ -147,7 +142,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     seed, y0 = starts[0]
     traj = run(game, kernel, config.feedback, config.step, config.horizon,
                y0=y0, seed=seed)
-    faces = resolve_faces(game, config.faces)
     report = diagnostic_report(game, traj, kernel, faces)
 
     target = out_dir if out_dir is not None else config.output

@@ -32,18 +32,22 @@ case.
 The step loop computes only what the recursion needs and records only
 what cannot be recomputed from the play: x, and vhat under mirror-prox
 and clairvoyant feedback, whose half-step or fixed point depends on the
-scores. A bandit draw is a function of the recorded x_n, the exploration
-weight delta_n and the run's Philox streams, so the step draws into one
-scratch row and a trajectory replays its draws on read. Every other
-vhat is a row-wise function of the play, written once in :func:`_gain`,
-which a trajectory calls on B steps of one run and the full and
-optimistic step on R runs at one step. The bandit estimate's entries
-have one owner, :func:`_iwe_entries`: the step adds them into the
-scores, and :func:`_gain` and :func:`iwe` write them into zeros. Scores,
-the realized actions, that vhat, bias, noise and the regret summands are
-derived from the recorded rows on first read, with the step's arithmetic
-in the step's order, so the record is the same bits either way and a
-caller that never reads them never pays for them.
+scores. This module alone decides what is stored: a trajectory holds
+its play, and each run's :class:`_Derivation` owns the run's stored
+vhat and, for runs that never sample, the batch's one block of -1 as
+their realized actions. A bandit draw is a function of the recorded
+x_n, the exploration weight delta_n and the run's Philox streams, so the
+step draws into one scratch row and a trajectory replays its draws on
+read through :func:`_draw`, the draw :func:`sample_actions` makes. Every
+other vhat is a row-wise function of the play, written once in
+:func:`_gain`, which a trajectory calls on B steps of one run and the
+full and optimistic step on R runs at one step. The bandit estimate's
+entries have one owner, :func:`_iwe_entries`: the step adds them into
+the scores, and :func:`_gain` and :func:`iwe` write them into zeros.
+Scores, the realized actions, that vhat, bias, noise and the regret
+summands are derived from the recorded rows on first read, with the
+step's arithmetic in the step's order, so the record is the same bits
+either way and a caller that never reads them never pays for them.
 
 Randomness (bandit sampling only) comes from the counter-based Philox
 generator, keyed per (run seed, player): the draw used by player i at step
@@ -208,11 +212,18 @@ def sample_actions(explored, uniforms):
     if any(len(x) != len(rows) for x in xs):
         raise InputError("explored rows and uniform rows disagree in number")
     x, layout = _flat(xs)
-    actions = np.empty(rows.shape, np.int64)
-    for players, cols, m in layout.blocks:
-        xb = x[:, cols].reshape(len(x), -1, m).transpose(2, 0, 1)
-        _sample_actions_unchecked(xb, rows[:, players], actions[:, players])
+    actions = _draw(layout, x, rows, np.empty(rows.shape, np.int64))
     return actions if u.ndim == 2 else actions[0].tolist()
+
+
+def _draw(layout, xhat, uniforms, out) -> np.ndarray:
+    """Draw every block's actions into (R, N) `out` from explored flat
+    (R, D) rows `xhat` and their (R, N) uniforms, through each block's
+    action-major (m, R, n_b) view of its columns."""
+    for players, cols, m in layout.blocks:
+        xb = xhat[:, cols].reshape(len(xhat), -1, m).transpose(2, 0, 1)
+        _sample_actions_unchecked(xb, uniforms[:, players], out[:, players])
+    return out
 
 
 def _sample_actions_unchecked(xb, uniforms, out, c=None) -> np.ndarray:
@@ -314,27 +325,28 @@ def _gain(feedback, game, v=None, v_prev=None, xhat=None, acts=None):
 
 @dataclass(frozen=True)
 class _Derivation:
-    """Derives the fields the step loop does not store, for every
-    trajectory of one :func:`run_many` call.
+    """Gives one :func:`run_many` trajectory every field past its play.
 
     `deltas` holds the exploration weight of every step (bandit feedback
-    only). A call returns the one field it is asked for, so a read caches
+    only), `vhat` the run's stored gains (mirror-prox and clairvoyant
+    feedback only) and `unsampled` the batch's one read-only (T, N) block
+    of -1 (runs that never sample only); the last two are returned as they
+    are. A call returns the one field it is asked for, so a read caches
     only that field. Scores are summed from vhat. A bandit run's realized
     actions replay its draws: the run's rows of :func:`uniform_table`
-    against the recorded rows explored with `deltas`, one
-    :func:`_sample_actions_unchecked` call per layout block and block of
-    ``_DERIVE_ROWS`` steps. That is the step's own explore, running sums
-    and count, and a running sum adds in the same order whatever the
-    layout, so the actions are the ones the step drew. The other fields
-    take one pass over the recorded rows, in blocks of at most
-    ``_DERIVE_ROWS`` steps. A block evaluates v(x) once where the field
-    reads it (gaps, bias, and the vhat and noise of full and optimistic
-    runs), and under optimistic feedback carries its last row into the
-    next as v(x_{n-1}) (x_0 := x_1 at step 1):
+    against the recorded rows explored with `deltas`, one :func:`_draw`
+    per block of ``_DERIVE_ROWS`` steps. That is the step's own explore,
+    running sums and count, and a running sum adds in the same order
+    whatever the layout, so the actions are the ones the step drew. The
+    other fields take one pass over the recorded rows, in blocks of at
+    most ``_DERIVE_ROWS`` steps. A block evaluates v(x) once where the
+    field reads it (gaps, bias, and the vhat and noise of full and
+    optimistic runs), and under optimistic feedback carries its last row
+    into the next as v(x_{n-1}) (x_0 := x_1 at step 1):
 
     - gaps: the (T, N) regret summands max_a v_i(x)_a - <v_i(x), x_i>,
       one max and one sum per layout block, over (rows, players, m) views;
-    - vhat: from :func:`_gain` unless the step recorded it;
+    - vhat: from :func:`_gain` unless stored;
     - noise: vhat less its mean, v(xhat) under bandit feedback and vhat
       otherwise;
     - bias: that mean less v(x), except that optimistic feedback defines
@@ -344,8 +356,14 @@ class _Derivation:
     game: Game
     feedback: FeedbackKind
     deltas: np.ndarray | None
+    vhat: np.ndarray | None
+    unsampled: np.ndarray | None
 
     def __call__(self, traj: Trajectory, name: str) -> np.ndarray:
+        if name == "vhat" and self.vhat is not None:
+            return self.vhat
+        if name == "realized" and self.unsampled is not None:
+            return self.unsampled
         if name == "scores":
             # y_{k+1} = y_k + gamma_k * vhat_k, summed in the loop's order
             scores = np.empty(traj.x.shape)
@@ -360,15 +378,12 @@ class _Derivation:
             for a in range(0, traj.horizon, _DERIVE_ROWS):
                 rows = slice(a, a + _DERIVE_ROWS)
                 xhat = _explored_unchecked(traj.x[rows], self.deltas[rows, None], layout.m_col)
-                for players, cols, m in layout.blocks:
-                    xb = xhat[:, cols].reshape(len(xhat), -1, m).transpose(2, 0, 1)
-                    _sample_actions_unchecked(xb, u[rows, players], out[rows, players])
+                _draw(layout, xhat, u[rows], out[rows])
             return out
         bandit, optimistic = isinstance(feedback, Bandit), isinstance(feedback, Optimistic)
-        recorded = traj.vhat if isinstance(feedback, _RECORDED) else None
-        # v(x) where the field reads it: a bandit or recorded vhat, and so
+        # v(x) where the field reads it: a bandit or stored vhat, and so
         # its noise, never does
-        with_v = name in ("gaps", "bias") or not (bandit or recorded is not None)
+        with_v = name in ("gaps", "bias") or not (bandit or self.vhat is not None)
         out = np.empty((traj.horizon, traj.n_players) if name == "gaps" else traj.x.shape)
         v_prev = v_last = None
         for a in range(0, traj.horizon, _DERIVE_ROWS):
@@ -387,7 +402,7 @@ class _Derivation:
             # the explored profile, as the step drew from it
             xhat = (_explored_unchecked(x, self.deltas[rows, None], layout.m_col)
                     if bandit else None)
-            vhat = recorded[rows] if recorded is not None else _gain(
+            vhat = self.vhat[rows] if self.vhat is not None else _gain(
                 feedback, game, v, v_prev, xhat, traj.realized[rows])
             if name == "vhat":
                 out[rows] = vhat
@@ -460,11 +475,13 @@ def run_many(
     buffer alike, so one gather reads their probabilities, and the step adds
     the N values of :func:`_iwe_entries` per row into those scores. The runs
     draw ``_DERIVE_ROWS`` steps of each (seed, player) stream at a time.
-    Each trajectory derives its scores, a bandit run's realized actions, the
-    vhat it did not store, bias, noise and regret summands from those rows
-    on first read, one field per call of :class:`_Derivation`. The runs of a
-    batch share one read-only array each for n, gamma and tau, and runs that
-    never sample share one read-only block of -1 for their realized actions.
+    Each trajectory holds y0, n, gamma, tau and x, and reads every other
+    field, on first read, from its own :class:`_Derivation`. That object
+    owns the run's stored vhat and, for runs that never sample, the batch's
+    one read-only (T, N) block of -1 as their realized actions; it derives
+    the scores, a bandit run's realized actions, the other vhat, bias,
+    noise and regret summands from the recorded rows. The runs of a batch
+    share one read-only array each for n, gamma and tau.
     Scores that overflow (under bandit feedback only the N a step moved can)
     raise :class:`InputError` naming the step, the run and its seed; a
     record too large to allocate raises :class:`ResourceLimitError`.
@@ -503,11 +520,10 @@ def run_many(
         streams = [[player_stream(s, i) for i in range(N)] for s in seeds]
         base = np.arange(0, R * D, D)[:, None] + layout.offsets  # each player's action 0
         acts = np.empty((R, N), dtype=np.int64)  # the step's realized actions
-        # the explored play, laid out like the scores, mixed with one block's
-        # scalar m or each column's own; per block, the action-major
-        # (m, R, n_b) view of its columns and contiguous running sums
+        # the explored play, laid out like the scores; per block, the
+        # action-major (m, R, n_b) view of its columns and contiguous
+        # running sums
         xh = np.empty((R, D))
-        m_x = layout.blocks[0][2] if len(layout.blocks) == 1 else layout.m_col
         blocks = [(players, xh[:, cols].reshape(R, -1, m).transpose(2, 0, 1),
                    np.empty((m, R, players.stop - players.start)))
                   for players, cols, m in layout.blocks]
@@ -529,7 +545,7 @@ def run_many(
                         stream.random(out=draws[r, i, :b])
             delta = deltas[k] = feedback.exploration.value(k + 1)
             u = draws[:, :, j]
-            _explored_unchecked(x, delta, m_x, xh)
+            _explored_unchecked(x, delta, layout.m_col, xh)
             for players, xb, c in blocks:
                 _sample_actions_unchecked(xb, u[:, players], acts[:, players], c)
             flat = base + acts
@@ -569,8 +585,7 @@ def run_many(
         shared.flags.writeable = False
     # runs that never sample share one read-only block of -1; bandit runs
     # replay their draws on read
-    out_real = None if bandit else np.broadcast_to(np.int64(-1), (R, T, N))
-    derive = _Derivation(game, feedback, deltas)
+    unsampled = None if bandit else np.broadcast_to(np.int64(-1), (T, N))
     return [
         Trajectory(
             n_actions=game.n_actions,
@@ -582,9 +597,8 @@ def run_many(
             gamma=out_gamma,
             tau=out_tau,
             x=out_x[r],
-            realized=None if out_real is None else out_real[r],
-            vhat=None if out_vhat is None else out_vhat[r],
-            derive=derive,
+            derive=_Derivation(game, feedback, deltas,
+                               None if out_vhat is None else out_vhat[r], unsampled),
         )
         for r in range(R)
     ]

@@ -1,16 +1,13 @@
 """Time-indexed run records and their CSV interchange format.
 
 A Trajectory holds a run step by step as flat (T, D) rows, player-major
-in the layout ``game._layout`` owns. It stores the played profiles, and
-the sampled actions and surrogate gain vectors where they are given: by
-hand-built records, by runs that never sample (a block of -1) and, for
-the gains, by mirror-prox and clairvoyant runs, which cannot recompute
-them from the play. Scores, a bandit run's sampled actions, the gains
-that were not stored, the bias/noise split of the gains and the
-per-player instantaneous regret summands are derived from them on first
-read, each field on its own, and then cached, so a caller pays only for
-the fields it reads. The CSV format is a strict subset with a fixed
-column order:
+in the layout ``game._layout`` owns. It holds the initial scores, the
+step schedule and the played profiles; every other field (scores,
+sampled actions, surrogate gains, their bias/noise split and the
+per-player instantaneous regret summands) comes from its derivation
+source on first read, each field on its own, and is then cached, so a
+caller pays only for the fields it reads. The CSV format is a strict
+subset with a fixed column order:
 
     n, gamma, tau,
     x_<player>_<action> ... (player-major, action-major),
@@ -25,7 +22,7 @@ doubles exactly.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import groupby
 from operator import methodcaller
 
@@ -44,18 +41,13 @@ _CSV_CHUNK = 1024  # rows stacked per np.concatenate
 class Trajectory:
     """Record of one learning run.
 
-    Stored: y0, n, gamma, tau and x, plus realized and vhat when they
-    are given. `derive(traj, name)` returns the array of the derived
-    field `name`, which is then cached; the engine passes one, a
-    hand-built trajectory may not. The derived fields are:
+    Held: y0, n, gamma, tau and x. `derive(traj, name)` returns the
+    array of every other field `name`, which is then cached; the engine
+    passes one, a hand-built trajectory may not. Those fields are:
 
     - scores: (T, D) scores y_n matching x rows
-    - realized: (T, N) sampled actions, -1 where the run did not sample,
-      unless given (the engine gives the block of -1 for runs that never
-      sample and replays the bandit draws from x and the run's seed)
-    - vhat: (T, D) surrogate gains, unless given (the engine gives them
-      for mirror-prox and clairvoyant runs, whose gains depend on the
-      scores, and derives the full, optimistic and bandit ones)
+    - realized: (T, N) sampled actions, -1 where the run did not sample
+    - vhat: (T, D) surrogate gains
     - bias, noise: (T, D) split of vhat around v(x_n)
     - gaps: (T, N) per-player instantaneous regret summands
     """
@@ -69,16 +61,11 @@ class Trajectory:
     gamma: np.ndarray  # (T,)
     tau: np.ndarray  # (T,) running sum of gamma
     x: np.ndarray  # (T, D) played profiles, flattened player-major
-    realized: InitVar[np.ndarray | None] = None  # (T, N) sampled actions, when stored
-    vhat: InitVar[np.ndarray | None] = None  # (T, D) surrogate gains, when stored
     derive: Callable | None = field(default=None, repr=False)
     _derived: dict = field(init=False, default_factory=dict, repr=False)
 
-    def __post_init__(self, realized, vhat):
+    def __post_init__(self):
         self.n_actions = tuple(int(m) for m in self.n_actions)
-        for name, given in (("realized", realized), ("vhat", vhat)):
-            if given is not None:
-                self._derived[name] = given
 
     def _read(self, name: str) -> np.ndarray:
         if name not in self._derived:
@@ -108,8 +95,6 @@ class Trajectory:
         return [x.copy() for x in _layout(self.n_actions).split(self.x[k])]
 
 
-# set after the class body, where realized and vhat no longer read as the
-# InitVars' defaults
 for _name in ("scores", "realized", "vhat", "bias", "noise", "gaps"):
     setattr(Trajectory, _name, property(methodcaller("_read", _name)))
 

@@ -8,7 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rlgames import builtin_game, game_to_json, minimal_clubs
+from rlgames import (
+    Full,
+    Schedule,
+    builtin_game,
+    config_from_dict,
+    derive_run_seed,
+    face_from_lists,
+    fit_rate,
+    game_to_json,
+    kernel_from_name,
+    minimal_clubs,
+    run,
+    write_trajectory_csv,
+)
+from rlgames import experiments
 from rlgames.builtin import BUILTIN_GAMES
 from rlgames.cli import analyze_game, main
 from rlgames.experiments import _face_key
@@ -246,6 +260,64 @@ def test_a_negative_face_action_exits_2_with_a_json_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InputError"
     assert "player 0 mentions action -1" in err["message"]
+
+
+def test_run_checks_its_faces_before_it_steps(monkeypatch):
+    # an out-of-range face fails before the run, as it does for a batch
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before the faces were checked")
+
+    monkeypatch.setattr(experiments, "run", refuse)
+    cfg = config_from_dict({"game": "vz4x4", "kernel": "tsallis", "horizon": 20000,
+                            "faces": [[[9], [0]]]})
+    with pytest.raises(InputError, match="action 9"):
+        experiments.run_experiment(cfg)
+
+
+@pytest.mark.parametrize("kernel,model", [("euclidean", "finite_hit"), ("logit", "geometric")])
+def test_run_report_rate_fits_are_the_fit_rate_fields(tmp_path, kernel, model):
+    # parity from a start leaning to {0}x{0}x{0}: the euclidean run hits the
+    # face, the logit run decays to it, and report.json holds every field of
+    # each fit but its window, in RateFit's order after the face
+    cfg = config_from_dict({
+        "game": "parity", "kernel": kernel, "horizon": 400, "seed": 3,
+        "faces": [[[0], [0], [0]]],
+        "init": {"kind": "explicit", "scores": [[0.5, 0], [0.5, 0], [0.5, 0]]},
+    })
+    traj, _ = experiments.run_experiment(cfg, out_dir=tmp_path)
+    fit = fit_rate(traj, face_from_lists([[0], [0], [0]]), kernel_from_name(kernel))
+    assert fit.model == model
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["rate_fit"] == [{
+        "face": "{0}x{0}x{0}",
+        "model": fit.model,
+        "hit_index": fit.hit_index,
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "shift": fit.shift,
+        "r_squared": fit.r_squared,
+        "n_points": fit.n_points,
+    }]
+    assert list(report["rate_fit"][0]) == [
+        "face", "model", "hit_index", "slope", "intercept", "shift", "r_squared",
+        "n_points",
+    ]
+
+
+def test_run_starts_from_an_explicit_init(tmp_path, capsys):
+    # the config's scores are the run's y0, used verbatim
+    scores = [[1, 0.5, -2, 0], [0, 0, 0, 3]]
+    cfg = write_config(tmp_path, init={"kind": "explicit", "scores": scores})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "-o", str(out)]) == 0
+    capsys.readouterr()
+    vz = builtin_game("vz4x4")
+    y0 = [np.array(row, dtype=float) for row in scores]
+    traj = run(vz, kernel_from_name("logit"), Full(), Schedule(0.2, 0.5), 50,
+               y0=y0, seed=derive_run_seed(9, 0))
+    assert np.array_equal(traj.y0, np.concatenate(y0))
+    write_trajectory_csv(traj, tmp_path / "want.csv", faces=minimal_clubs(vz))
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_run_with_missing_config_file(tmp_path, capsys):

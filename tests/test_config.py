@@ -167,6 +167,16 @@ def test_explicit_init_builds_one_start():
     assert init.perturbation_radius == 0.0
 
 
+def test_explicit_init_config_parses_to_float_tuples():
+    cfg = config_from_dict(minimal(init={"kind": "explicit",
+                                         "scores": [[1, 0.5, -2, 0], [0, 0, 0, 3]]}))
+    assert cfg.init == ExplicitInit(scores=((1.0, 0.5, -2.0, 0.0), (0.0, 0.0, 0.0, 3.0)))
+    assert all(type(v) is float for row in cfg.init.scores for v in row)
+    starts = cfg.init.base_starts(builtin_game("vz4x4"))
+    assert len(starts) == 1
+    assert [y.tolist() for y in starts[0]] == [[1.0, 0.5, -2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]
+
+
 def test_explicit_init_shape_mismatches():
     game = builtin_game("vz4x4")
     with pytest.raises(ConfigError, match="players"):
@@ -176,11 +186,13 @@ def test_explicit_init_shape_mismatches():
 
 
 def test_grid_slots_round_robin_over_players():
+    three = GridInit(values=(-1.0, 0.0, 1.0), dims=3, radius=0.1)
+    five = GridInit(values=(-1.0, 0.0, 1.0), dims=5, radius=0.1)
     parity = builtin_game("parity")
-    assert GridInit(dims=3).coordinate_slots(parity) == [(0, 0), (1, 0), (2, 0)]
+    assert three.coordinate_slots(parity) == [(0, 0), (1, 0), (2, 0)]
     vz = builtin_game("vz4x4")
-    assert GridInit(dims=3).coordinate_slots(vz) == [(0, 0), (1, 0), (0, 1)]
-    assert GridInit(dims=5).coordinate_slots(vz) == [
+    assert three.coordinate_slots(vz) == [(0, 0), (1, 0), (0, 1)]
+    assert five.coordinate_slots(vz) == [
         (0, 0), (1, 0), (0, 1), (1, 1), (0, 2),
     ]
 
@@ -188,7 +200,7 @@ def test_grid_slots_round_robin_over_players():
 def test_grid_slots_cannot_exceed_the_score_space():
     mp = builtin_game("matching_pennies_2p")
     with pytest.raises(ConfigError, match="exceeds"):
-        GridInit(dims=5).coordinate_slots(mp)
+        GridInit(values=(-1.0, 0.0, 1.0), dims=5, radius=0.1).coordinate_slots(mp)
 
 
 def test_grid_starts_enumerate_the_product_row_major():

@@ -88,11 +88,10 @@ def test_every_export_has_a_caller():
 # the parameters with defaults of each export that has any; a fixed value
 # of the protocol is a module constant, not a keyword no caller sets
 PUBLIC_DEFAULTS = {
-    "GridInit": ("values", "dims", "radius"),
     "RateFit": ("hit_index", "slope", "intercept", "shift", "r_squared", "window",
                 "n_points"),
     "Schedule": ("exponent",),
-    "Trajectory": ("realized", "vhat", "derive"),
+    "Trajectory": ("derive",),
     "check_profile": ("rows",),
     "check_strategy": ("rows",),
     "enumerate_pure_nash": ("strict_only",),

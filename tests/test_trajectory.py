@@ -192,8 +192,10 @@ def test_csv_derives_only_the_gaps(tmp_path, vz):
 
 
 def test_csv_of_a_full_run_derives_only_the_gaps(tmp_path, vz):
-    # a run that never samples stores its block of -1 as its realized actions
-    assert csv_derived(tmp_path, vz, Full()) == {"gaps"}
+    # a run that never samples reads its block of -1 as its realized actions
+    # through the derivation, which computes nothing for them; no vhat,
+    # bias, noise or scores are derived
+    assert csv_derived(tmp_path, vz, Full()) == {"gaps", "realized"}
 
 
 def test_csv_text_shape(tmp_path, traj):
