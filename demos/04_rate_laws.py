@@ -34,7 +34,7 @@ soft_tilt = [np.array([0.2, -0.2])] * 3
 print("euclidean: constant steps, exact arrival")
 k = kernel_from_name("euclidean")
 traj = run(game, k, Full(), Schedule(0.2, 0.0), 600, y0=soft_tilt)
-fit = fit_rate(traj, face, k)
+fit = fit_rate(traj, face)
 dist = face_distances(traj, face)
 print(f"  model {fit.model}: first exactly-zero step n = {fit.hit_index}")
 print(f"  distance at n=1: {dist[0]:.4f}, at the hit: {dist[fit.hit_index - 1]:.1e}")
@@ -42,7 +42,7 @@ print(f"  distance at n=1: {dist[0]:.4f}, at the hit: {dist[fit.hit_index - 1]:.
 print("\nlogit: geometric decay in tau")
 k = kernel_from_name("logit")
 traj = run(game, k, Full(), Schedule(0.2, 0.5), 6000, y0=tilt)
-fit = fit_rate(traj, face, k)
+fit = fit_rate(traj, face)
 print(f"  model {fit.model}: slope {fit.slope:.4f} per unit tau, "
       f"R^2 = {fit.r_squared:.6f}")
 print(f"  fitted on steps {fit.window[0]}..{fit.window[1]} "
@@ -51,7 +51,7 @@ print(f"  fitted on steps {fit.window[0]}..{fit.window[1]} "
 print("\ntsallis: inverse-square decay in shifted tau")
 k = kernel_from_name("tsallis")
 traj = run(game, k, Full(), Schedule(0.2, 0.5), 15000, y0=tilt)
-fit = fit_rate(traj, face, k, atol=5e-4, window=0.1)
+fit = fit_rate(traj, face, atol=5e-4, window=0.1)
 print(f"  model {fit.model}: slope {fit.slope:.3f} on log(shift + tau), "
       f"shift {fit.shift:.2f}, R^2 = {fit.r_squared:.6f}")
 print(f"  fitted on steps {fit.window[0]}..{fit.window[1]} "

@@ -1,7 +1,9 @@
 """Post-run diagnostics: regret, energies, limit sets, convergence rates.
 
 Everything here consumes a finished :class:`Trajectory` (or raw play
-distributions) and never mutates it.
+distributions) and never mutates it. A trajectory carries the game, kernel
+and feedback kind that made it, so a call reads them from the record and
+never takes them as arguments.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .game import (
     Game,
     _correlated_payoffs,
     _flat,
+    _index,
     _layout,
     _payoff_vectors_unchecked,
     check_distribution,
@@ -23,7 +26,6 @@ from .game import (
     check_profile,
 )
 from .learning import _DERIVE_ROWS
-from .regularizers import Kernel
 from .trajectory import Trajectory, face_distances
 
 MIN_FIT_POINTS = 20
@@ -38,9 +40,9 @@ RESILIENCE_TOL = 0.02
 # regret
 
 
-def regret(trajectory: Trajectory, game: Game, mode: str = "expected") -> np.ndarray:
-    """Every player's cumulative external regret R_i(n) for n = 1..T, as
-    the (T, N) columns of one array.
+def regret(trajectory: Trajectory, mode: str = "expected") -> np.ndarray:
+    """Every player's cumulative external regret R_i(n) for n = 1..T in the
+    game the run was played in, as the (T, N) columns of one array.
 
     expected mode scores the played mixed profiles; realized mode scores
     the sampled pure profiles, as one-hot rows, and requires a run that
@@ -49,8 +51,7 @@ def regret(trajectory: Trajectory, game: Game, mode: str = "expected") -> np.nda
     blocks give the same bits, and on one-hot rows its entries are the
     pure payoffs exactly.
     """
-    if game.n_actions != trajectory.n_actions:
-        raise InputError("trajectory and game disagree on action counts")
+    game = trajectory.game
     layout = _layout(game.n_actions)
     if mode == "expected":
         check_profile(game, layout.split(trajectory.x), rows=True)
@@ -91,14 +92,13 @@ def regret_from_distributions(game: Game, player: int, dists) -> np.ndarray:
 
 def energy_series(trajectory: Trajectory, deviation: DeviationVector) -> np.ndarray:
     """Score difference (outside minus inside) of one deviation over time."""
-    i = deviation.player
-    if not 0 <= i < trajectory.n_players:
-        raise InputError(f"deviation names player {i}, which the run does not have")
-    m = trajectory.n_actions[i]
-    if not (0 <= deviation.inside < m and 0 <= deviation.outside < m):
+    cols = trajectory.player_slice(deviation.player)
+    inside, outside = _index(deviation.inside), _index(deviation.outside)
+    m = cols.stop - cols.start
+    if not (0 <= inside < m and 0 <= outside < m):
         raise InputError("deviation actions out of range for the run")
-    block = trajectory.scores[:, trajectory.player_slice(i)]
-    return block[:, deviation.outside] - block[:, deviation.inside]
+    block = trajectory.scores[:, cols]
+    return block[:, outside] - block[:, inside]
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +129,15 @@ def estimate_limit_set(trajectory: Trajectory) -> tuple:
     return tuple(tuple(trajectory.profile_at(start + k)) for k in reps)
 
 
-def check_limit_resilience(trajectory: Trajectory, game: Game) -> ResilienceReport:
-    """Estimate the limit set of a run and test it for resilience, counting
-    gaps down to -`RESILIENCE_TOL` as nonnegative; the report's
-    `resilient` holds that verdict, and its gaps and witnesses are the
-    per-player LP values and minimizers."""
-    if game.n_actions != trajectory.n_actions:
-        raise InputError("trajectory and game disagree on action counts")
+def check_limit_resilience(trajectory: Trajectory) -> ResilienceReport:
+    """Estimate the limit set of a run and test it for resilience in the
+    run's game, counting gaps down to -`RESILIENCE_TOL` as nonnegative; the
+    report's `resilient` holds that verdict, and its gaps and witnesses are
+    the per-player LP values and minimizers."""
     points = estimate_limit_set(trajectory)
     # the points are rows of the run's own record, so they skip validation
     x, _ = _flat(np.stack(col) for col in zip(*points))
-    return _resilience_unchecked(game, x, RESILIENCE_TOL)
+    return _resilience_unchecked(trajectory.game, x, RESILIENCE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +168,11 @@ class RateFit:
 def fit_rate(
     trajectory: Trajectory,
     face: Face,
-    kernel: Kernel,
     atol: float = 1e-12,
     window: float = 0.5,
 ) -> RateFit:
-    """Fit the decay law the kernel predicts for club convergence.
+    """Fit the decay law that the run's kernel predicts for club
+    convergence.
 
     A non-steep kernel (``kernel.steep`` false: rho > 1, euclidean
     included) reaches the face in finite time, so its fit is the first
@@ -191,6 +189,7 @@ def fit_rate(
         raise InputError("need 0 < atol < window")
     dist = face_distances(trajectory, face)
     tau = trajectory.tau
+    kernel = trajectory.kernel
 
     if not kernel.steep:
         hits = np.flatnonzero(dist <= atol)

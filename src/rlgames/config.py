@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .game import Game, _is_count
 from .learning import Bandit, FeedbackKind, Schedule
-from .regularizers import kernel_from_name
+from .regularizers import Kernel, kernel_from_name
 
 AUTO_FACES = "auto:minimal_clubs"
 
@@ -104,7 +104,7 @@ class ExperimentConfig:
     """Everything one run (or one batch of runs) needs, fully validated."""
 
     game: str
-    kernel: str
+    kernel: Kernel
     horizon: int
     feedback: FeedbackKind
     step: Schedule
@@ -258,9 +258,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"config has unknown fields {sorted(unknown)}")
 
     game = _require(data, "game", str, "a builtin name or a file path")
-    kernel = _require(data, "kernel", str, "a kernel name")
+    name = _require(data, "kernel", str, "a kernel name")
     try:
-        kernel_from_name(kernel)
+        kernel = kernel_from_name(name)
     except Exception as exc:
         raise ConfigError(f"config kernel is invalid: {exc}") from exc
 

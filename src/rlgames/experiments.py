@@ -28,7 +28,6 @@ from .errors import ConfigError, DiagnosticError, InputError
 from .faces import Face, _outside_mass, check_face, minimal_clubs
 from .game import Game, load_game
 from .learning import derive_run_seed, perturbation_stream, run, run_many
-from .regularizers import kernel_from_name
 from .trajectory import Trajectory, _write_csvs, write_trajectory_csv
 
 CONVERGENCE_THRESHOLD = 0.05
@@ -80,15 +79,15 @@ def _face_key(face: Face) -> str:
     return "x".join("{" + ",".join(str(a) for a in s) + "}" for s in face.supports)
 
 
-def _final_distances(game: Game, traj: Trajectory, faces) -> dict:
+def _final_distances(traj: Trajectory, faces) -> dict:
     """Each face's `distance_to_face` from the run's last row, unchecked."""
     final = traj.x[-1:]
-    return {_face_key(f): float(_outside_mass(game.n_actions, f, final)[0]) for f in faces}
+    return {_face_key(f): float(_outside_mass(traj.game, f, final)[0]) for f in faces}
 
 
-def _rate_fit_entry(traj, face, kernel):
+def _rate_fit_entry(traj, face):
     try:
-        fit = fit_rate(traj, face, kernel)
+        fit = fit_rate(traj, face)
     except DiagnosticError as exc:
         return {"face": _face_key(face), "error": str(exc)}
     fields = asdict(fit)
@@ -96,18 +95,19 @@ def _rate_fit_entry(traj, face, kernel):
     return {"face": _face_key(face), **fields}
 
 
-def diagnostic_report(game: Game, traj: Trajectory, kernel, faces) -> dict:
-    """The per-run JSON report: regret, rate fits, limit set, resilience."""
-    final_regret = regret(traj, game)[-1].tolist()
+def diagnostic_report(traj: Trajectory, faces) -> dict:
+    """The per-run JSON report: regret, rate fits, limit set, resilience,
+    each in the game and under the kernel the run holds."""
+    final_regret = regret(traj)[-1].tolist()
     points = estimate_limit_set(traj)
-    resilience = check_limit_resilience(traj, game)
+    resilience = check_limit_resilience(traj)
     return {
         "horizon": traj.horizon,
         "seed": traj.seed,
-        "kernel": traj.kernel_name,
-        "feedback": traj.feedback_label,
+        "kernel": traj.kernel.name,
+        "feedback": traj.feedback.label,
         "regret_final": final_regret,
-        "rate_fit": [_rate_fit_entry(traj, f, kernel) for f in faces],
+        "rate_fit": [_rate_fit_entry(traj, f) for f in faces],
         "limit_set": {
             "window_fraction": LIMIT_WINDOW,
             "epsilon": LIMIT_EPSILON,
@@ -120,7 +120,7 @@ def diagnostic_report(game: Game, traj: Trajectory, kernel, faces) -> dict:
             "min_gap": min(resilience.gaps),
         },
         "tracked_faces": [_face_key(f) for f in faces],
-        "final_distances": _final_distances(game, traj, faces),
+        "final_distances": _final_distances(traj, faces),
     }
 
 
@@ -131,7 +131,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
     config's own output field) when a directory is given.
     """
     game = load_game_spec(config.game)
-    kernel = kernel_from_name(config.kernel)
     faces = resolve_faces(game, config.faces)
     starts = _perturbed_starts(config, game)
     if len(starts) != 1:
@@ -140,9 +139,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None):
             "exactly one (use batch for grids)"
         )
     seed, y0 = starts[0]
-    traj = run(game, kernel, config.feedback, config.step, config.horizon,
+    traj = run(game, config.kernel, config.feedback, config.step, config.horizon,
                y0=y0, seed=seed)
-    report = diagnostic_report(game, traj, kernel, faces)
+    report = diagnostic_report(traj, faces)
 
     target = out_dir if out_dir is not None else config.output
     if target is not None:
@@ -164,13 +163,12 @@ def execute_batch(config: ExperimentConfig, out_dir=None):
     (per_run summaries in grid order, aggregate dict).
     """
     game = load_game_spec(config.game)
-    kernel = kernel_from_name(config.kernel)
     faces = resolve_faces(game, config.faces)
     starts = _perturbed_starts(config, game)
     target = Path(out_dir) if out_dir is not None else None
     if target is not None:
         target.mkdir(parents=True, exist_ok=True)
-    trajectories = run_many(game, kernel, config.feedback, config.step,
+    trajectories = run_many(game, config.kernel, config.feedback, config.step,
                             config.horizon, starts)
 
     if target is not None:
@@ -178,9 +176,9 @@ def execute_batch(config: ExperimentConfig, out_dir=None):
         _write_csvs(trajectories, paths, faces)
     summaries = []
     for index, traj in enumerate(trajectories):
-        distances = _final_distances(game, traj, faces)
+        distances = _final_distances(traj, faces)
         min_dist = min(distances.values()) if distances else float("inf")
-        resilience = check_limit_resilience(traj, game)
+        resilience = check_limit_resilience(traj)
         summaries.append({
             "run": index,
             "seed": traj.seed,
@@ -193,7 +191,7 @@ def execute_batch(config: ExperimentConfig, out_dir=None):
     converged = sum(s["converged"] for s in summaries)
     aggregate = {
         "game": config.game,
-        "kernel": config.kernel,
+        "kernel": config.kernel.name,
         "feedback": config.feedback.label,
         "horizon": config.horizon,
         "master_seed": config.seed,

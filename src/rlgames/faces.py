@@ -80,11 +80,8 @@ class DeviationVector:
 
 
 def check_face(game: Game, face: Face) -> Face:
-    return _check_face(game.n_actions, face)
-
-
-def _check_face(n_actions, face: Face) -> Face:
-    """Reject a face that does not fit these per-player action counts."""
+    """Reject a face that does not fit the game's per-player action counts."""
+    n_actions = game.n_actions
     if face.n_players != len(n_actions):
         raise InputError(
             f"face has {face.n_players} supports, game has {len(n_actions)} players"
@@ -113,15 +110,16 @@ def singleton_face(game: Game, actions) -> Face:
 def distance_to_face(game: Game, profile, face: Face) -> float:
     """Total probability mass the profile puts outside the face's supports."""
     x, _ = _flat(check_profile(game, profile))
-    return float(_outside_mass(game.n_actions, face, x[None])[0])
+    return float(_outside_mass(game, face, x[None])[0])
 
 
-def _outside_mass(n_actions, face: Face, flat) -> np.ndarray:
-    """Mass each flat (R, D) profile row puts outside the face: one sum over
-    the outside columns, in column order. `distance_to_face` and
-    `trajectory.face_distances` both come here, so they agree bit for bit."""
-    _check_face(n_actions, face)
-    layout = _layout(n_actions)
+def _outside_mass(game: Game, face: Face, flat) -> np.ndarray:
+    """Mass each flat (R, D) profile row of the game puts outside the face:
+    one sum over the outside columns, in column order. `distance_to_face`
+    and `trajectory.face_distances` both come here, so they agree bit for
+    bit."""
+    check_face(game, face)
+    layout = _layout(game.n_actions)
     outside = np.ones(layout.dim, dtype=bool)
     for part, sub in zip(layout.split(outside), face.supports):
         part[list(sub)] = False

@@ -33,12 +33,14 @@ The step loop computes only what the recursion needs and records only
 what cannot be recomputed from the play: x, and vhat under mirror-prox
 and clairvoyant feedback, whose half-step or fixed point depends on the
 scores. This module alone decides what is stored: a trajectory holds
-its play, and each run's :class:`_Derivation` owns the run's stored
-vhat and, for runs that never sample, the batch's one block of -1 as
-their realized actions. A bandit draw is a function of the recorded
-x_n, the exploration weight delta_n and the run's Philox streams, so the
-step draws into one scratch row and a trajectory replays its draws on
-read through :func:`_draw`, the draw :func:`sample_actions` makes. Every
+its play and the game, kernel and feedback kind that made it, and each
+run's :class:`_Derivation` owns the run's stored vhat and, for runs that
+never sample, the batch's one block of -1 as their realized actions; it
+reads the game and feedback kind from the trajectory it is handed. A
+bandit draw is a function of the recorded x_n, the exploration weight
+delta_n and the run's Philox streams, so the step draws into one scratch
+row and a trajectory replays its draws on read through :func:`_draw`,
+the draw :func:`sample_actions` makes. Every
 other vhat is a row-wise function of the play, written once in
 :func:`_gain`, which a trajectory calls on B steps of one run and the
 full and optimistic step on R runs at one step. The bandit estimate's
@@ -325,7 +327,8 @@ def _gain(feedback, game, v=None, v_prev=None, xhat=None, acts=None):
 
 @dataclass(frozen=True)
 class _Derivation:
-    """Gives one :func:`run_many` trajectory every field past its play.
+    """Gives one :func:`run_many` trajectory every field past its play,
+    in the game and under the feedback kind the trajectory holds.
 
     `deltas` holds the exploration weight of every step (bandit feedback
     only), `vhat` the run's stored gains (mirror-prox and clairvoyant
@@ -353,8 +356,6 @@ class _Derivation:
       it as v(x_n) - v(x_{n-1}).
     """
 
-    game: Game
-    feedback: FeedbackKind
     deltas: np.ndarray | None
     vhat: np.ndarray | None
     unsampled: np.ndarray | None
@@ -370,7 +371,7 @@ class _Derivation:
             scores[0] = traj.y0
             np.multiply(traj.gamma[:-1, None], traj.vhat[:-1], out=scores[1:])
             return np.cumsum(scores, axis=0, out=scores)
-        game, feedback = self.game, self.feedback
+        game, feedback = traj.game, traj.feedback
         layout = _layout(game.n_actions)
         if name == "realized":
             u = uniform_table(traj.seed, traj.n_players, traj.horizon)
@@ -475,12 +476,14 @@ def run_many(
     buffer alike, so one gather reads their probabilities, and the step adds
     the N values of :func:`_iwe_entries` per row into those scores. The runs
     draw ``_DERIVE_ROWS`` steps of each (seed, player) stream at a time.
-    Each trajectory holds y0, n, gamma, tau and x, and reads every other
-    field, on first read, from its own :class:`_Derivation`. That object
-    owns the run's stored vhat and, for runs that never sample, the batch's
-    one read-only (T, N) block of -1 as their realized actions; it derives
-    the scores, a bandit run's realized actions, the other vhat, bias,
-    noise and regret summands from the recorded rows. The runs of a batch
+    Each trajectory holds the very `game`, `kernel` and `feedback` objects
+    passed here, then y0, n, gamma, tau and x, and reads every other field,
+    on first read, from its own :class:`_Derivation`. That object owns the
+    run's stored vhat and, for runs that never sample, the batch's one
+    read-only (T, N) block of -1 as their realized actions; it derives the
+    scores, a bandit run's realized actions, the other vhat, bias, noise
+    and regret summands from the recorded rows, in the game and under the
+    feedback kind the trajectory holds. The runs of a batch
     share one read-only array each for n, gamma and tau.
     Scores that overflow (under bandit feedback only the N a step moved can)
     raise :class:`InputError` naming the step, the run and its seed; a
@@ -588,17 +591,17 @@ def run_many(
     unsampled = None if bandit else np.broadcast_to(np.int64(-1), (T, N))
     return [
         Trajectory(
-            n_actions=game.n_actions,
-            kernel_name=kernel.name,
-            feedback_label=feedback.label,
+            game=game,
+            kernel=kernel,
+            feedback=feedback,
             seed=seeds[r],
             y0=y0s[r],
             n=steps,
             gamma=out_gamma,
             tau=out_tau,
             x=out_x[r],
-            derive=_Derivation(game, feedback, deltas,
-                               None if out_vhat is None else out_vhat[r], unsampled),
+            derive=_Derivation(deltas, None if out_vhat is None else out_vhat[r],
+                               unsampled),
         )
         for r in range(R)
     ]

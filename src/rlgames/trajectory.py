@@ -1,10 +1,12 @@
 """Time-indexed run records and their CSV interchange format.
 
 A Trajectory holds a run step by step as flat (T, D) rows, player-major
-in the layout ``game._layout`` owns. It holds the initial scores, the
-step schedule and the played profiles; every other field (scores,
-sampled actions, surrogate gains, their bias/noise split and the
-per-player instantaneous regret summands) comes from its derivation
+in the layout ``game._layout`` owns. It holds the game, kernel and
+feedback kind that made the run, so the analysis calls read them from
+the record rather than taking them again. It also holds the initial
+scores, the step schedule and the played profiles; every other field
+(scores, sampled actions, surrogate gains, their bias/noise split and
+the per-player instantaneous regret summands) comes from its derivation
 source on first read, each field on its own, and is then cached, so a
 caller pays only for the fields it reads. The CSV format is a strict
 subset with a fixed column order:
@@ -30,7 +32,8 @@ import numpy as np
 
 from .errors import InputError
 from .faces import Face, _outside_mass
-from .game import _layout
+from .game import Game, _layout, check_player
+from .regularizers import Kernel
 
 _FMT = "%.17g"
 _CSV_ROWS = 16  # rows per %-format: larger blocks leave freed heap resident
@@ -41,9 +44,11 @@ _CSV_CHUNK = 1024  # rows stacked per np.concatenate
 class Trajectory:
     """Record of one learning run.
 
-    Held: y0, n, gamma, tau and x. `derive(traj, name)` returns the
-    array of every other field `name`, which is then cached; the engine
-    passes one, a hand-built trajectory may not. Those fields are:
+    Held: the game, kernel and feedback kind that made the run, then y0,
+    n, gamma, tau and x. `n_actions` reads the game. `derive(traj, name)`
+    returns the array of every other field `name`, which is then cached;
+    the engine passes one, a hand-built trajectory may not. Those fields
+    are:
 
     - scores: (T, D) scores y_n matching x rows
     - realized: (T, N) sampled actions, -1 where the run did not sample
@@ -52,9 +57,9 @@ class Trajectory:
     - gaps: (T, N) per-player instantaneous regret summands
     """
 
-    n_actions: tuple[int, ...]
-    kernel_name: str
-    feedback_label: str
+    game: Game
+    kernel: Kernel
+    feedback: FeedbackKind  # learning.FeedbackKind; learning imports this module
     seed: int
     y0: np.ndarray  # flat initial scores
     n: np.ndarray  # (T,) step indices, 1-based
@@ -64,15 +69,16 @@ class Trajectory:
     derive: Callable | None = field(default=None, repr=False)
     _derived: dict = field(init=False, default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        self.n_actions = tuple(int(m) for m in self.n_actions)
-
     def _read(self, name: str) -> np.ndarray:
         if name not in self._derived:
             if self.derive is None:
                 raise InputError(f"trajectory has no source to derive {name!r} from")
             self._derived[name] = self.derive(self, name)
         return self._derived[name]
+
+    @property
+    def n_actions(self) -> tuple[int, ...]:
+        return self.game.n_actions
 
     @property
     def n_players(self) -> int:
@@ -87,8 +93,7 @@ class Trajectory:
         return len(self.n)
 
     def player_slice(self, i: int) -> slice:
-        if not 0 <= i < self.n_players:
-            raise InputError(f"player index {i} out of range")
+        check_player(self.game, i)
         return _layout(self.n_actions).cols[i]
 
     def profile_at(self, k: int) -> list[np.ndarray]:
@@ -102,7 +107,7 @@ for _name in ("scores", "realized", "vhat", "bias", "noise", "gaps"):
 def face_distances(traj: Trajectory, face: Face) -> np.ndarray:
     """Outside-support mass of every recorded profile, as a (T,) series;
     entry k is ``distance_to_face`` of ``traj.profile_at(k)``, bit for bit."""
-    return _outside_mass(traj.n_actions, face, traj.x)
+    return _outside_mass(traj.game, face, traj.x)
 
 
 def csv_header(traj: Trajectory, n_faces: int = 0) -> list[str]:

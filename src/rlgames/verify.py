@@ -298,7 +298,7 @@ def _check_rate_laws(ctx):
     k = kernel_from_name("euclidean")
     y0_interior = [np.array([0.2, -0.2])] * 3  # projects to (0.7, 0.3): off the face
     traj = run(g, k, Full(), Schedule(0.2, 0.0), 600, y0=y0_interior, seed=3)
-    fit_a = fit_rate(traj, face, k)
+    fit_a = fit_rate(traj, face)
     ok = fit_a.model == "finite_hit" and fit_a.hit_index is not None
     ok &= fit_a.hit_index <= 500
     dist = face_distances(traj, face)
@@ -307,13 +307,13 @@ def _check_rate_laws(ctx):
 
     k = kernel_from_name("logit")
     traj = run(g, k, Full(), Schedule(0.2, 0.5), 6000, y0=y0, seed=3)
-    fit_b = fit_rate(traj, face, k)
+    fit_b = fit_rate(traj, face)
     ok &= fit_b.r_squared > 0.99 and fit_b.slope < 0.0
     parts.append(f"logit slope {fit_b.slope:.3f} R2 {fit_b.r_squared:.5f}")
 
     k = kernel_from_name("tsallis")
     traj = run(g, k, Full(), Schedule(0.2, 0.5), 30_000, y0=y0, seed=3)
-    fit_c = fit_rate(traj, face, k, atol=5e-4, window=0.1)
+    fit_c = fit_rate(traj, face, atol=5e-4, window=0.1)
     ok &= abs(fit_c.slope + 2.0) <= 0.2
     parts.append(f"tsallis slope {fit_c.slope:.3f} (shift {fit_c.shift:.2f})")
 

@@ -6,6 +6,7 @@ from rlgames import (
     DeviationVector,
     DiagnosticError,
     Full,
+    Game,
     InputError,
     RateFit,
     Schedule,
@@ -45,20 +46,22 @@ def vz_traj(vz):
     return run(vz, LOGIT, Full(), Schedule(0.2, 0.5), 200, seed=1)
 
 
-def make_traj(n_actions, x, gamma=0.1):
-    """Hand-built trajectory carrying only the fields diagnostics read;
-    with no derivation source, it has no scores, realized actions, vhat,
-    bias, noise or gaps."""
+def make_traj(game, x, gamma=0.1, kernel=LOGIT):
+    """Hand-built trajectory of `game` (or of a zero game with these action
+    counts) under `kernel`, carrying only the fields diagnostics read; with
+    no derivation source, it has no scores, realized actions, vhat, bias,
+    noise or gaps."""
+    if not isinstance(game, Game):
+        game = make_game([np.zeros(game)] * len(game))
     x = np.asarray(x, dtype=float)
     T = len(x)
-    D = sum(n_actions)
     gam = np.full(T, float(gamma))
     return Trajectory(
-        n_actions=tuple(n_actions),
-        kernel_name="synthetic",
-        feedback_label="full",
+        game=game,
+        kernel=kernel,
+        feedback=Full(),
         seed=0,
-        y0=np.zeros(D),
+        y0=np.zeros(sum(game.n_actions)),
         n=np.arange(1, T + 1, dtype=np.int64),
         gamma=gam,
         tau=np.cumsum(gam),
@@ -73,20 +76,32 @@ def test_hand_built_trajectory_names_the_field_it_cannot_derive(name):
         getattr(traj, name)
 
 
+def test_old_call_styles_fail_loudly(vz, vz_traj):
+    # the record holds its game and kernel, so passing them again raises
+    # and never returns a value
+    with pytest.raises(InputError, match="mode must be"):
+        regret(vz_traj, vz)
+    with pytest.raises(TypeError):
+        check_limit_resilience(vz_traj, vz)
+    with pytest.raises(TypeError):
+        fit_rate(vz_traj, face_from_lists([[0], [0]]), LOGIT)
+    with pytest.raises(TypeError):
+        Trajectory(game=vz, kernel=LOGIT, feedback=Full(), seed=0, y0=vz_traj.y0,
+                   n=vz_traj.n, gamma=vz_traj.gamma, tau=vz_traj.tau, x=vz_traj.x,
+                   n_actions=(4, 4))
+
+
 # ---------------------------------------------------------------------------
 # regret
 
 
-def test_regret_validation(vz, vz_traj):
-    other = builtin_game("parity")
+def test_regret_validation(vz_traj):
     with pytest.raises(InputError):
-        regret(vz_traj, other)
-    with pytest.raises(InputError):
-        regret(vz_traj, vz, mode="hopeful")
+        regret(vz_traj, mode="hopeful")
     with pytest.raises(InputError, match="mode must be"):
-        regret(vz_traj, vz, 0)  # a player index passed where the mode goes
+        regret(vz_traj, 0)  # a player index passed where the mode goes
     with pytest.raises(InputError):
-        regret(vz_traj, vz, mode="realized")  # run never sampled
+        regret(vz_traj, mode="realized")  # run never sampled
 
 
 def test_expected_regret_replays_the_rows(vz, vz_traj):
@@ -95,7 +110,7 @@ def test_expected_regret_replays_the_rows(vz, vz_traj):
     bandit = run(parity, LOGIT, fb, Schedule(0.2, 0.5), 300, seed=8)
     for game, traj in ((vz, vz_traj), (parity, bandit)):
         T = traj.horizon
-        regrets = regret(traj, game)
+        regrets = regret(traj)
         assert regrets.shape == (T, game.n_players)
         for i in range(game.n_players):
             r = regrets[:, i]
@@ -113,7 +128,7 @@ def test_expected_regret_replays_the_rows(vz, vz_traj):
 def test_regret_vanishes_on_a_constant_game():
     flat = make_game([np.full((2, 2), 1.5), np.full((2, 2), -0.5)])
     traj = run(flat, LOGIT, Full(), Schedule(0.2, 0.5), 50)
-    assert np.allclose(regret(traj, flat), 0.0, atol=1e-12)
+    assert np.allclose(regret(traj), 0.0, atol=1e-12)
 
 
 def test_realized_regret_uses_sampled_actions(vz):
@@ -122,7 +137,7 @@ def test_realized_regret_uses_sampled_actions(vz):
     mixed = make_game(np.random.default_rng(4).integers(-3, 4, (3, 3, 2, 2)))
     for game in (vz, builtin_game("parity"), mixed):
         traj = run(game, LOGIT, fb, Schedule(0.2, 0.5), 300, seed=8)
-        regrets = regret(traj, game, mode="realized")
+        regrets = regret(traj, mode="realized")
         assert regrets.shape == (300, game.n_players)
         for i in range(game.n_players):
             r = regrets[:, i]
@@ -145,7 +160,7 @@ def test_average_regret_is_small_on_every_builtin():
     for name in sorted(BUILTIN_GAMES):
         g = builtin_game(name)
         traj = run(g, LOGIT, Full(), Schedule(0.2, 0.5), T)
-        final = regret(traj, g)[-1]
+        final = regret(traj)[-1]
         for i in range(g.n_players):
             assert final[i] / T < 0.05, (name, i)
 
@@ -201,6 +216,11 @@ def test_energy_series_reads_score_differences(vz, vz_traj):
         energy_series(vz_traj, DeviationVector(player=2, inside=0, outside=1))
     with pytest.raises(InputError):
         energy_series(vz_traj, DeviationVector(player=0, inside=0, outside=9))
+    # a bool, a string or a fractional number is no index: InputError,
+    # never a numpy broadcast or indexing error
+    for player, inside in ((True, 0), ("1", 0), (1.0, 0), (0, True), (0, 1.5), (0, "1")):
+        with pytest.raises(InputError):
+            energy_series(vz_traj, DeviationVector(player=player, inside=inside, outside=3))
 
 
 def test_rate_function_bounds_distance_termwise():
@@ -276,8 +296,8 @@ def test_limit_set_window_handles_short_runs():
 
 
 @pytest.mark.parametrize("call", [
-    lambda t, face: fit_rate(t, face, LOGIT, atol=float("nan")),
-    lambda t, face: fit_rate(t, face, LOGIT, window=float("nan")),
+    lambda t, face: fit_rate(t, face, atol=float("nan")),
+    lambda t, face: fit_rate(t, face, window=float("nan")),
 ], ids=["fit_rate_atol", "fit_rate_window"])
 def test_a_nan_tolerance_is_rejected(vz_traj, call):
     # every comparison with NaN is false, so a NaN tolerance would empty
@@ -288,14 +308,12 @@ def test_a_nan_tolerance_is_rejected(vz_traj, call):
 
 def test_limit_resilience_on_frozen_paths(vz):
     at_nash = np.tile(np.concatenate(pure_profile(vz, (0, 0))), (60, 1))
-    rep = check_limit_resilience(make_traj((4, 4), at_nash), vz)
+    rep = check_limit_resilience(make_traj(vz, at_nash))
     assert rep.resilient
     at_bb = np.tile(np.concatenate(pure_profile(vz, (1, 1))), (60, 1))
-    rep = check_limit_resilience(make_traj((4, 4), at_bb), vz)
+    rep = check_limit_resilience(make_traj(vz, at_bb))
     assert not rep.resilient
     assert min(rep.gaps) == pytest.approx(-1 / 3)
-    with pytest.raises(InputError):
-        check_limit_resilience(make_traj((4, 4), at_bb), builtin_game("parity"))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +325,7 @@ def test_fit_recovers_a_planted_geometric_law():
     tau = np.cumsum(np.full(T, 0.1))
     d = 0.4 * np.exp(-0.3 * tau)
     rows = np.stack([1.0 - d, d], axis=1)
-    fit = fit_rate(make_traj((2,), rows), face_from_lists([[0]]), LOGIT)
+    fit = fit_rate(make_traj((2,), rows), face_from_lists([[0]]))
     assert fit.model == "geometric"
     assert fit.slope == pytest.approx(-0.3, abs=1e-6)
     assert fit.r_squared > 1 - 1e-9
@@ -319,8 +337,8 @@ def test_fit_recovers_a_planted_inverse_square_law():
     tau = np.cumsum(np.full(T, 0.5))
     d = 1.0 / (2.0 + tau) ** 2
     rows = np.stack([1.0 - d, d], axis=1)
-    fit = fit_rate(make_traj((2,), rows, gamma=0.5), face_from_lists([[0]]),
-                   kernel_from_name("tsallis"))
+    fit = fit_rate(make_traj((2,), rows, gamma=0.5, kernel=kernel_from_name("tsallis")),
+                   face_from_lists([[0]]))
     assert fit.model == "inverse_square"
     assert fit.slope == pytest.approx(-2.0, abs=1e-3)
     assert fit.shift == pytest.approx(2.0, abs=0.05)
@@ -330,8 +348,8 @@ def test_fit_recovers_a_planted_inverse_square_law():
 def test_fit_reports_the_finite_hitting_step():
     d = np.concatenate([np.geomspace(0.3, 1e-3, 40), np.zeros(20)])
     rows = np.stack([1.0 - d, d], axis=1)
-    fit = fit_rate(make_traj((2,), rows), face_from_lists([[0]]),
-                   kernel_from_name("euclidean"))
+    fit = fit_rate(make_traj((2,), rows, kernel=kernel_from_name("euclidean")),
+                   face_from_lists([[0]]))
     assert fit.model == "finite_hit"
     assert fit.hit_index == 41  # 1-based step of the first exact arrival
     assert isinstance(fit, RateFit)
@@ -345,7 +363,7 @@ def test_non_steep_power_kernels_fit_their_finite_hitting_step(name, hit):
     kernel = kernel_from_name(name)
     traj = run(g, kernel, Full(), Schedule(0.2, 0.0), 600,
                y0=[np.array([0.2, -0.2])] * 3, seed=0)
-    fit = fit_rate(traj, face_from_lists([[0], [0], [0]]), kernel)
+    fit = fit_rate(traj, face_from_lists([[0], [0], [0]]))
     assert fit.model == "finite_hit"
     assert fit.hit_index == hit
 
@@ -355,11 +373,11 @@ def test_fit_diagnostic_errors():
     d = np.full(60, 0.25)
     rows = np.stack([1.0 - d, d], axis=1)
     with pytest.raises(DiagnosticError, match="hitting"):
-        fit_rate(make_traj((2,), rows), face_from_lists([[0]]), euc)
+        fit_rate(make_traj((2,), rows, kernel=euc), face_from_lists([[0]]))
     d = np.full(60, 0.8)  # never below the window cutoff
     rows = np.stack([1.0 - d, d], axis=1)
     with pytest.raises(DiagnosticError, match="in-window"):
-        fit_rate(make_traj((2,), rows), face_from_lists([[0]]), LOGIT)
+        fit_rate(make_traj((2,), rows), face_from_lists([[0]]))
 
 
 @pytest.mark.parametrize("n", [20, 300, 4000])
@@ -382,9 +400,9 @@ def test_line_fit_of_a_constant_series_is_flat_and_exact():
 def test_fit_parameter_validation(vz_traj):
     face = face_from_lists([[0], [0]])
     with pytest.raises(InputError):
-        fit_rate(vz_traj, face, LOGIT, atol=0.0)
+        fit_rate(vz_traj, face, atol=0.0)
     with pytest.raises(InputError):
-        fit_rate(vz_traj, face, LOGIT, atol=0.1, window=0.05)
+        fit_rate(vz_traj, face, atol=0.1, window=0.05)
 
 
 # ---------------------------------------------------------------------------

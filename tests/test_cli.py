@@ -285,7 +285,7 @@ def test_run_report_rate_fits_are_the_fit_rate_fields(tmp_path, kernel, model):
         "init": {"kind": "explicit", "scores": [[0.5, 0], [0.5, 0], [0.5, 0]]},
     })
     traj, _ = experiments.run_experiment(cfg, out_dir=tmp_path)
-    fit = fit_rate(traj, face_from_lists([[0], [0], [0]]), kernel_from_name(kernel))
+    fit = fit_rate(traj, face_from_lists([[0], [0], [0]]))
     assert fit.model == model
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["rate_fit"] == [{

@@ -17,6 +17,7 @@ from rlgames import (
     builtin_game,
     config_from_dict,
     config_from_json,
+    kernel_from_name,
 )
 
 
@@ -34,7 +35,7 @@ def test_minimal_config_fills_defaults():
     cfg = config_from_dict(minimal())
     assert cfg == ExperimentConfig(
         game="vz4x4",
-        kernel="logit",
+        kernel=kernel_from_name("logit"),
         horizon=100,
         feedback=Full(),
         step=Schedule(0.2, 0.5),

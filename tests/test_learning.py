@@ -463,8 +463,8 @@ def test_run_shapes_and_columns(vz):
     assert traj.gaps.shape == (T, 2)
     assert traj.realized.shape == (T, 2)
     assert np.all(traj.realized == -1)  # non-bandit runs never sample
-    assert traj.kernel_name == "logit"
-    assert traj.feedback_label == "full"
+    assert traj.kernel.name == "logit"
+    assert traj.feedback.label == "full"
     assert np.array_equal(traj.y0, np.zeros(8))
 
 
@@ -701,7 +701,7 @@ def test_batch_stores_vhat_only_where_it_depends_on_the_scores(vz, label):
 
 @pytest.mark.parametrize("feedback", [Full(), Bandit(exploration=Schedule(0.1, 0.15))],
                          ids=["full", "bandit"])
-def test_batch_shares_read_only_per_run_constants(vz, feedback):
+def test_batch_shares_read_only_per_run_constants(vz, feedback, monkeypatch):
     batch = run_many(vz, LOGIT, feedback, Schedule(0.2, 0.5), 30, random_starts(vz, 3))
     shared = ("n", "gamma", "tau")
     if feedback.label == "full":
@@ -713,6 +713,23 @@ def test_batch_shares_read_only_per_run_constants(vz, feedback):
             with pytest.raises(ValueError):
                 array[0] = 0
     assert np.all(batch[0].realized == -1) == (feedback.label == "full")
+    # every run holds the very objects the batch was made from
+    for traj in batch:
+        assert traj.game is vz and traj.kernel is LOGIT and traj.feedback is feedback
+    # and a config's runs hold its parsed kernel
+    kept = []
+
+    def keeping(*args):
+        trajectories = run_many(*args)
+        kept.extend(trajectories)
+        return trajectories
+
+    monkeypatch.setattr(experiments, "run_many", keeping)
+    cfg = config_from_dict({"game": "parity", "kernel": "tsallis", "horizon": 20,
+                            "init": {"kind": "grid", "values": [-1.0, 1.0], "dims": 2}})
+    experiments.execute_batch(cfg)
+    assert len(kept) == 4
+    assert all(traj.kernel is cfg.kernel for traj in kept)
 
 
 def test_clairvoyant_stall_names_the_run(vz):
